@@ -3,8 +3,8 @@
 // repairing failures underneath the sockets.
 //
 // Unlike the engine benches (simulated time), this one measures HOST
-// wall-clock time: the serving fabric (epoll IO thread, worker pool,
-// loopback TCP) is real, so its scaling only shows on a real clock. The
+// wall-clock time: the serving fabric (workers sharing one one-shot
+// epoll set, loopback TCP) is real, so its scaling only shows on a real clock. The
 // storage devices are Instant so device arithmetic does not drown out
 // the serving-layer signal.
 //

@@ -1,8 +1,9 @@
 // Shared helpers for the experiment harness: workload generators, table
 // printing, and duration formatting. Every bench binary prints a
 // paper-style table on stdout and exits 0; absolute numbers come from the
-// simulated clock (see DESIGN.md section 2), so the tables reproduce the
-// SHAPE of the paper's section 6 arithmetic regardless of host speed.
+// simulated clock (see docs/ARCHITECTURE.md, "Simulated time"), so the
+// tables reproduce the SHAPE of the paper's section 6 arithmetic
+// regardless of host speed.
 
 #pragma once
 

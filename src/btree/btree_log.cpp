@@ -257,7 +257,8 @@ Status RedoInsert(BTreeNode* node, std::string_view key, std::string_view value,
   Status s = node->InsertLeafRecord(key, value, make_ghost);
   if (s.IsIOError()) {
     // Redo replays may carry ghosts that history reclaimed; reclaim and
-    // retry (safe during redo — see DESIGN.md ghost discussion).
+    // retry (safe during redo — see docs/ARCHITECTURE.md, "Node layout:
+    // fences, compaction and ghosts").
     std::vector<std::string> ghosts;
     for (uint16_t i = 0; i < node->slot_count(); ++i) {
       if (node->IsGhost(i)) ghosts.push_back(node->FullKeyAt(i));

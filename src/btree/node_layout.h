@@ -17,9 +17,10 @@
 // Slot keys are stored with the node's key prefix stripped (prefix
 // truncation, Bayer & Unterauer); the prefix is the longest common prefix
 // of the two fence keys. Records carry a ghost bit (logical deletion,
-// section 5.1.5). Deviation from the paper noted in DESIGN.md: fences live
-// in a dedicated area rather than as ghost-record slots; this is a record-
-// format detail with no behavioral consequence.
+// section 5.1.5). Deviation from the paper (docs/ARCHITECTURE.md, "Node
+// layout: fences, compaction and ghosts"): fences live in a dedicated
+// area rather than as ghost-record slots; this is a record-format detail
+// with no behavioral consequence.
 
 #pragma once
 
@@ -206,7 +207,8 @@ class BTreeNode {
   size_t FreeSpace() const;
   bool HasSpaceFor(size_t key_len, size_t payload_len) const;
   /// Rewrites the heap to squeeze out holes. Unlogged (redo is by key, so
-  /// physical layout is free to differ; see DESIGN.md).
+  /// physical layout is free to differ; see docs/ARCHITECTURE.md, "Node
+  /// layout: fences, compaction and ghosts").
   void Compact();
 
   // --- split support -------------------------------------------------------

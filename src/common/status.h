@@ -17,7 +17,7 @@ namespace spf {
 /// Result code for every fallible operation in the library.
 class Status {
  public:
-  /// Error taxonomy; see DESIGN.md section 6.
+  /// Error taxonomy; see docs/ARCHITECTURE.md, "Error taxonomy".
   enum class Code : uint8_t {
     kOk = 0,
     kNotFound = 1,

@@ -151,7 +151,7 @@ enum class LockRank : uint16_t {
   kRestoreGate = 110,   ///< RestoreGate::mu_ (admission / segments)
   kBackup = 115,        ///< BackupManager::mu_ (slots + catalog)
   kMirror = 118,        ///< MirrorBaseline state (held across mirror I/O)
-  kServerQueue = 120,   ///< NetworkServer work/rearm queues
+  kServerQueue = 120,   ///< NetworkServer connection registry
   kDevice = 125,        ///< SimDevice / SimLogDevice state
   kStats = 130,         ///< leaf counters; terminal — hold nothing beyond
 };

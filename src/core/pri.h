@@ -23,7 +23,8 @@
 // Two-partition placement: partition A's PRI pages sit at LOW device
 // addresses and cover the UPPER half of the page-id space; partition B's
 // pages sit at HIGH addresses and cover the LOWER half. Hence no PRI page
-// is covered by itself or its own partition (DESIGN.md invariant P2).
+// is covered by itself or its own partition (docs/ARCHITECTURE.md, "PRI
+// placement").
 
 #pragma once
 

@@ -142,7 +142,7 @@ struct DatabaseOptions {
   /// RestoreGate so parked readers resume as soon as THEIR segment is
   /// back. 0 restores the whole device as one segment (no incremental
   /// admission).
-  uint64_t restore_segment_pages = 256;
+  uint64_t restore_segment_pages = 64;
   /// Early readmission: reopen the transaction admission gate as soon as
   /// the restore sweep starts (reads wait per page, hot pages restore on
   /// demand ahead of the sweep) instead of when the whole device is back.
@@ -358,6 +358,16 @@ class Database {
   /// Restore-progress gate of the rung-5 protocol (always wired; active
   /// only while a full restore sweep runs).
   RestoreGate* restore_gate() { return restore_gate_.get(); }
+
+  /// True when the self-healing read path is wired (PRI tracking +
+  /// single-page repair): a single-page-failure candidate surfacing to a
+  /// client is then transient — the funnel heals it, a retry rides the
+  /// repaired page. Feeds TxnError::Classify.
+  bool repair_wired() const {
+    return options_.tracking == WriteTrackingMode::kPri &&
+           options_.enable_single_page_repair;
+  }
+
   PageLsnCrossCheck* cross_check() { return cross_check_.get(); }  ///< read-time cross-check
   const DatabaseOptions& options() const { return options_; }  ///< effective options
 
@@ -413,15 +423,6 @@ class Database {
   /// failure rolls the chain back to the pre-batch savepoint
   /// (RollbackExecutor::RollbackTo) and leaves the transaction active.
   Status ApplyBatchOp(Transaction* txn, const WriteBatch& batch);
-
-  /// True when the self-healing read path is wired (PRI tracking +
-  /// single-page repair): a single-page-failure candidate surfacing to a
-  /// client is then transient — the funnel heals it, a retry rides the
-  /// repaired page. Feeds TxnError::Classify.
-  bool repair_wired() const {
-    return options_.tracking == WriteTrackingMode::kPri &&
-           options_.enable_single_page_repair;
-  }
 
   Status Bootstrap();  // format meta page, create tree, first checkpoint
 

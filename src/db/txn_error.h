@@ -46,8 +46,10 @@ class TxnError {
     /// Retrying the identical request returns the identical error.
     kUser,
     /// Transient contention or repair-in-progress: lock timeout /
-    /// deadlock victim, restore-gate or funnel backpressure. Re-running
-    /// the transaction is expected to succeed — the only retryable kind.
+    /// deadlock victim, restore-gate or funnel backpressure, or a page
+    /// read that hit a failed device while repair is wired (the retry
+    /// parks at the restore gate). Re-running the transaction is
+    /// expected to succeed — the only retryable kind.
     kTransient,
     /// The transaction was force-aborted by a full-restore drain
     /// deadline. The handle is permanently dead (every further call
@@ -59,8 +61,8 @@ class TxnError {
     /// already failed): corruption, latent sector error, I/O error that
     /// escaped the recovery ladder. Not retryable from the client side.
     kStorage,
-    /// The device failed as a whole and recovery did not (yet) succeed,
-    /// or an internal invariant broke. Operator attention required.
+    /// The device failed as a whole and repair is not wired, or an
+    /// internal invariant broke. Operator attention required.
     kFatal,
   };
 
@@ -96,6 +98,10 @@ class TxnError {
         kind = Kind::kStorage;
         break;
       case Status::Code::kMediaFailure:
+        // With repair wired a failed device is restored behind the
+        // restore gate, where the retried transaction parks.
+        kind = repair_wired ? Kind::kTransient : Kind::kFatal;
+        break;
       case Status::Code::kInternal:
         kind = Kind::kFatal;
         break;

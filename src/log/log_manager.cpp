@@ -6,6 +6,10 @@
 
 namespace spf {
 
+namespace {
+constexpr uint32_t kMaxRecordBytes = 64u << 20;  // longer is a corrupt length
+}  // namespace
+
 LogManager::LogManager(SimLogDevice* device, GroupCommitOptions gc)
     : device_(device), gc_(gc) {
   if (device_->size() == 0) {
@@ -182,7 +186,7 @@ StatusOr<LogRecord> LogManager::Read(Lsn lsn) const {
   char len_buf[4];
   SPF_RETURN_IF_ERROR(device_->ReadAt(lsn, 4, len_buf));
   uint32_t total = DecodeFixed32(len_buf);
-  if (total < kLogRecordHeaderSize || total > 64u * 1024 * 1024) {
+  if (total < kLogRecordHeaderSize || total > kMaxRecordBytes) {
     return Status::Corruption("implausible log record length");
   }
   std::string buf(total, '\0');
@@ -247,12 +251,52 @@ LogManager::Iterator::Iterator(const LogManager* log, Lsn start, Lsn end)
 }
 
 void LogManager::Iterator::ReadCurrent() {
+  // Records are parsed out of one window of sequential log bytes, so a
+  // scan costs one device read per window rather than two per record.
   valid_ = false;
-  if (pos_ >= end_) return;
-  auto rec_or = log_->Read(pos_);
-  if (!rec_or.ok()) return;  // truncated/corrupt tail terminates the scan
+  if (pos_ >= end_ || pos_ < log_->first_lsn() || !Cover(4)) return;
+  uint32_t total = DecodeFixed32(window_.data() + (pos_ - window_start_));
+  if (total < kLogRecordHeaderSize || total > kMaxRecordBytes ||
+      !Cover(total)) {
+    return;  // truncated/corrupt tail terminates the scan
+  }
+  auto rec_or = ParseLogRecord(
+      std::string_view(window_).substr(pos_ - window_start_, total));
+  if (!rec_or.ok()) return;
   rec_ = std::move(rec_or).value();
+  rec_.lsn = pos_;
+  {
+    MutexLock g(log_->mu_);
+    log_->stats_.records_read++;
+  }
   valid_ = true;
+}
+
+bool LogManager::Iterator::Cover(uint64_t n) {
+  const uint64_t have_end = window_start_ + window_.size();
+  if (pos_ >= window_start_ && pos_ + n <= have_end) return true;
+  // Keep the unparsed tail and read on from where the last read ended,
+  // so the device sees one sequential stream.
+  uint64_t from = pos_;
+  if (pos_ >= window_start_ && pos_ < have_end) {
+    window_.erase(0, pos_ - window_start_);
+    from = have_end;
+  } else {
+    window_.clear();
+  }
+  window_start_ = pos_;
+  // Never read past `end`: that would publish staged records early. A
+  // record that straddles `end` is still read whole, as Read() would.
+  const uint64_t limit = std::min(end_, log_->tail_lsn());
+  uint64_t len = limit > from ? std::min(kWindowBytes, limit - from) : 0;
+  len = std::max(len, pos_ + n - from);
+  const size_t kept = window_.size();
+  window_.resize(kept + len);
+  if (!log_->ReadRaw(from, len, window_.data() + kept).ok()) {
+    window_.clear();
+    return false;
+  }
+  return true;
 }
 
 void LogManager::Iterator::Next() {
@@ -310,7 +354,7 @@ StatusOr<LogRecord> LogSegmentReader::Read(Lsn lsn) {
     SPF_RETURN_IF_ERROR(Fetch(lsn, end));
   }
   uint32_t total = DecodeFixed32(buf_.data() + (lsn - buf_start_));
-  if (total < kLogRecordHeaderSize || total > 64u * 1024 * 1024) {
+  if (total < kLogRecordHeaderSize || total > kMaxRecordBytes) {
     return Status::Corruption("implausible log record length");
   }
   if (lsn + total > buf_start_ + buf_.size()) {

@@ -41,7 +41,8 @@
 
 namespace spf {
 
-/// Counters for log-volume experiments (E4 in DESIGN.md).
+/// Counters for log-volume experiments (bench E4; docs/ARCHITECTURE.md,
+/// "Paper-to-code map", §6).
 struct LogStats {
   uint64_t records_appended = 0;
   uint64_t bytes_appended = 0;
@@ -184,14 +185,22 @@ class LogManager {
     const LogRecord& record() const { return rec_; }
     void Next();
 
+    /// Most log bytes one device read brings in (less near `end`).
+    static constexpr uint64_t kWindowBytes = 256 * 1024;
+
    private:
     void ReadCurrent();
+    /// Makes log bytes [pos_, pos_ + n) available in window_, reading on
+    /// from the window's end when they are not. False when unreadable.
+    bool Cover(uint64_t n);
 
     const LogManager* log_;
     Lsn pos_;
     Lsn end_;
     bool valid_ = false;
     LogRecord rec_;
+    std::string window_;  ///< log bytes from window_start_ on
+    uint64_t window_start_ = 0;
   };
 
   /// Scans from `start` to the current tail (or `end` if given).

@@ -74,7 +74,8 @@ Status RestartRecovery::Analysis(RestartStats* stats) {
     stats->analysis_records++;
 
     // Loser tracking (user transactions only; system transactions are
-    // redo-only and never undone — see DESIGN.md).
+    // redo-only and never undone — see docs/ARCHITECTURE.md, "System
+    // transactions are redo-only").
     if (rec.txn_id != kInvalidTxnId && !rec.is_system_txn()) {
       switch (rec.type) {
         case LogRecordType::kCommitTxn:

@@ -21,13 +21,20 @@ namespace spf {
 
 namespace {
 
-constexpr int kEpollTimeoutMs = 100;   // stop-flag poll cadence
 constexpr int kSendTimeoutMs = 5000;   // bound on a stalled response write
 constexpr int kListenBacklog = 128;
 
 void SetNonBlocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
   if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+bool EpollCtl(int epoll_fd, int op, int fd, uint32_t events, void* tag) {
+  epoll_event ev;
+  std::memset(&ev, 0, sizeof(ev));
+  ev.events = events;
+  ev.data.ptr = tag;
+  return epoll_ctl(epoll_fd, op, fd, &ev) == 0;
 }
 
 }  // namespace
@@ -73,62 +80,49 @@ Status NetworkServer::Start() {
   }
 
   epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
-  event_fd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || event_fd_ < 0) {
+  stop_fd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (epoll_fd_ < 0 || stop_fd_ < 0 ||
+      !EpollCtl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, EPOLLIN | EPOLLONESHOT,
+                &listen_fd_) ||
+      !EpollCtl(epoll_fd_, EPOLL_CTL_ADD, stop_fd_, EPOLLIN, &stop_fd_)) {
     if (epoll_fd_ >= 0) close(epoll_fd_);
-    if (event_fd_ >= 0) close(event_fd_);
+    if (stop_fd_ >= 0) close(stop_fd_);
     close(listen_fd_);
-    listen_fd_ = epoll_fd_ = event_fd_ = -1;
+    listen_fd_ = epoll_fd_ = stop_fd_ = -1;
     return Status::IOError("epoll/eventfd setup failed");
   }
-  epoll_event ev;
-  std::memset(&ev, 0, sizeof(ev));
-  ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.fd = event_fd_;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
-
-  {
-    MutexLock g(work_mu_);
-    stopping_ = false;
-    work_queue_.clear();
-  }
-  {
-    MutexLock g(rearm_mu_);
-    rearm_queue_.clear();
-  }
-  io_stop_ = false;
 
   uint32_t workers = std::max<uint32_t>(1, options_.workers);
   for (uint32_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
-  io_thread_ = std::thread([this] { IoLoop(); });
   running_ = true;
   return Status::OK();
 }
 
 void NetworkServer::Stop() {
   if (!running_) return;
-  // Drain order: workers finish every queued frame first (so accepted
-  // frames are still answered), then the IO thread closes the sockets.
-  {
-    MutexLock g(work_mu_);
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
+  // The stop eventfd stays readable and is level-triggered, so every
+  // worker sees it once it finishes the connection it holds (answering
+  // each frame it already read); then the sockets close.
+  uint64_t one = 1;
+  ssize_t ignored = write(stop_fd_, &one, sizeof(one));
+  (void)ignored;
   for (std::thread& w : workers_) w.join();
   workers_.clear();
-  io_stop_ = true;
-  uint64_t one = 1;
-  ssize_t ignored = write(event_fd_, &one, sizeof(one));
-  (void)ignored;
-  io_thread_.join();
+  std::unordered_map<int, std::unique_ptr<Connection>> remaining;
+  {
+    MutexLock g(conns_mu_);
+    remaining.swap(conns_);
+  }
+  for (auto& [fd, conn] : remaining) {
+    close(fd);
+    connections_closed_++;
+  }
   close(listen_fd_);
   close(epoll_fd_);
-  close(event_fd_);
-  listen_fd_ = epoll_fd_ = event_fd_ = -1;
+  close(stop_fd_);
+  listen_fd_ = epoll_fd_ = stop_fd_ = -1;
   running_ = false;
 }
 
@@ -152,37 +146,28 @@ StatsSnapshot NetworkServer::Stats() const {
   return s;
 }
 
-// --- IO thread ---------------------------------------------------------------
+// --- workers ----------------------------------------------------------------
 
-void NetworkServer::IoLoop() {
-  constexpr int kMaxEvents = 64;
-  epoll_event events[kMaxEvents];
-  while (!io_stop_) {
-    int n = epoll_wait(epoll_fd_, events, kMaxEvents, kEpollTimeoutMs);
-    for (int i = 0; i < n && !io_stop_; ++i) {
-      int fd = events[i].data.fd;
-      if (fd == listen_fd_) {
-        AcceptNewConnections();
-      } else if (fd == event_fd_) {
-        uint64_t drained;
-        while (read(event_fd_, &drained, sizeof(drained)) > 0) {
-        }
-        RearmReturnedConnections();
-      } else {
-        auto it = conns_.find(fd);
-        if (it == conns_.end()) continue;  // closed earlier this batch
-        std::shared_ptr<Connection> conn = it->second;
-        ReadFromConnection(conn);
-        if (conns_.count(fd) != 0 && !conn->peer_gone) PumpConnection(conn);
-      }
+void NetworkServer::WorkerLoop() {
+  while (true) {
+    epoll_event ev;
+    int n = epoll_wait(epoll_fd_, &ev, 1, -1);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0 || ev.data.ptr == &stop_fd_) return;
+    if (ev.data.ptr == &listen_fd_) {
+      AcceptNewConnections();
+      EpollCtl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, EPOLLIN | EPOLLONESHOT,
+               &listen_fd_);
+      continue;
     }
+    auto* conn = static_cast<Connection*>(ev.data.ptr);
+    // The previous owner may still be returning from the epoll_ctl that
+    // armed the connection; take it only once that owner released it.
+    while (!conn->released.exchange(false, std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    ServeConnection(conn);
   }
-  // Teardown: every remaining connection closes with the server. Workers
-  // are already joined, so no connection is busy anymore.
-  std::vector<std::shared_ptr<Connection>> remaining;
-  remaining.reserve(conns_.size());
-  for (auto& [fd, conn] : conns_) remaining.push_back(conn);
-  for (auto& conn : remaining) CloseConnection(conn);
 }
 
 void NetworkServer::AcceptNewConnections() {
@@ -192,155 +177,99 @@ void NetworkServer::AcceptNewConnections() {
     if (fd < 0) return;  // EAGAIN, or a transient accept error: retry later
     int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Connection>();
+    auto owned = std::make_unique<Connection>();
+    Connection* conn = owned.get();
     conn->fd = fd;
-    conns_[fd] = conn;
+    {
+      // Registered before it is armed: once armed, another worker may
+      // already be closing it.
+      MutexLock g(conns_mu_);
+      conns_[fd] = std::move(owned);
+    }
     connections_accepted_++;
-    Register(conn);
+    if (!Arm(conn, EPOLL_CTL_ADD)) CloseConnection(conn);
   }
 }
 
-void NetworkServer::ReadFromConnection(const std::shared_ptr<Connection>& conn) {
-  char buf[4096];
+void NetworkServer::ServeConnection(Connection* conn) {
+  // Read what is there. A short read ends the loop: if more bytes land
+  // meanwhile, the re-arm below reports the socket readable again.
+  bool peer_gone = false;
+  char buf[16384];
   while (true) {
     ssize_t n = read(conn->fd, buf, sizeof(buf));
     if (n > 0) {
       conn->inbuf.append(buf, static_cast<size_t>(n));
+      if (static_cast<size_t>(n) < sizeof(buf)) break;
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    // EOF or hard error. Honor the half-close: complete frames already
-    // buffered still execute and get their replies (a client may shut
-    // down its write side and read the acks). Deregister so
-    // level-triggered EPOLLIN stops firing; the re-arm path closes the
-    // connection once the buffered frames drain.
-    Deregister(conn);
-    conn->peer_gone = true;
-    if (!conn->busy) {
-      PumpConnection(conn);
-      if (conns_.count(conn->fd) != 0 && !conn->busy) CloseConnection(conn);
-    }
-    return;
+    // EOF or hard error: honor the half-close below — complete frames
+    // already buffered still run and get their replies (a client may
+    // shut down its write side and read the acks).
+    peer_gone = !(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK));
+    break;
   }
-}
 
-void NetworkServer::PumpConnection(const std::shared_ptr<Connection>& conn) {
-  while (!conn->busy) {
-    if (conn->inbuf.size() < wire::kFramingBytes) return;
-    uint32_t len = DecodeFixed32(conn->inbuf.data());
+  // Run every complete buffered frame in order, one reply each.
+  size_t pos = 0;
+  while (conn->inbuf.size() - pos >= wire::kFramingBytes) {
+    uint32_t len = DecodeFixed32(conn->inbuf.data() + pos);
     if (len > wire::kMaxFrameBytes) {
       // Unframeable stream: no way to resynchronize past a lying length
-      // prefix. Answer (best effort — the connection is idle, so the IO
-      // thread owns the write side) and close.
+      // prefix. Answer (best effort) and close.
       frames_rejected_++;
-      std::string reply = wire::EncodeErrorReply(wire::WireError::kOversized,
-                                                 "frame exceeds size ceiling");
-      SendAll(conn.get(), reply);
+      SendAll(conn->fd, wire::EncodeErrorReply(wire::WireError::kOversized,
+                                               "frame exceeds size ceiling"));
       CloseConnection(conn);
       return;
     }
-    if (conn->inbuf.size() < wire::kFramingBytes + len) return;
-    std::string payload = conn->inbuf.substr(wire::kFramingBytes, len);
-    conn->inbuf.erase(0, wire::kFramingBytes + len);
-    conn->busy = true;  // one frame in flight per connection
-    {
-      MutexLock g(work_mu_);
-      if (stopping_) return;  // frame dropped with the socket at teardown
-      work_queue_.push_back(WorkItem{conn, std::move(payload)});
+    if (conn->inbuf.size() - pos < wire::kFramingBytes + len) break;
+    std::string reply = HandleFrame(
+        std::string_view(conn->inbuf).substr(pos + wire::kFramingBytes, len));
+    pos += wire::kFramingBytes + len;
+    if (!SendAll(conn->fd, reply)) {  // reader gone: drop the rest
+      CloseConnection(conn);
+      return;
     }
-    work_cv_.notify_one();
   }
+  conn->inbuf.erase(0, pos);
+
+  if (peer_gone || !Arm(conn, EPOLL_CTL_MOD)) CloseConnection(conn);
 }
 
-void NetworkServer::RearmReturnedConnections() {
-  std::vector<int> returned;
+bool NetworkServer::Arm(Connection* conn, int op) {
+  if (!EpollCtl(epoll_fd_, op, conn->fd, EPOLLIN | EPOLLONESHOT, conn)) {
+    return false;  // not armed: still ours
+  }
+  conn->released.store(true, std::memory_order_release);
+  return true;
+}
+
+void NetworkServer::CloseConnection(Connection* conn) {
+  const int fd = conn->fd;
   {
-    MutexLock g(rearm_mu_);
-    returned.swap(rearm_queue_);
+    MutexLock g(conns_mu_);
+    conns_.erase(fd);  // frees `conn`; before close(): fd numbers are reused
   }
-  for (int fd : returned) {
-    auto it = conns_.find(fd);
-    if (it == conns_.end()) continue;
-    std::shared_ptr<Connection> conn = it->second;
-    conn->busy = false;
-    if (conn->dead.load()) {
-      CloseConnection(conn);
-      continue;
-    }
-    // Pipelined frames already buffered dispatch immediately (including
-    // the half-close drain of a departed peer); otherwise re-arm in the
-    // epoll set — or finish closing if the peer is gone and drained.
-    PumpConnection(conn);
-    if (conns_.count(fd) == 0 || conn->busy) continue;
-    if (conn->peer_gone) {
-      CloseConnection(conn);
-    } else {
-      Register(conn);
-    }
-  }
-}
-
-void NetworkServer::Register(const std::shared_ptr<Connection>& conn) {
-  if (conn->registered) return;
-  epoll_event ev;
-  std::memset(&ev, 0, sizeof(ev));
-  ev.events = EPOLLIN;
-  ev.data.fd = conn->fd;
-  if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn->fd, &ev) == 0) {
-    conn->registered = true;
-  }
-}
-
-void NetworkServer::Deregister(const std::shared_ptr<Connection>& conn) {
-  if (!conn->registered) return;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-  conn->registered = false;
-}
-
-void NetworkServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
-  Deregister(conn);
-  close(conn->fd);
-  conns_.erase(conn->fd);
+  close(fd);
   connections_closed_++;
 }
 
-// --- workers ----------------------------------------------------------------
-
-void NetworkServer::WorkerLoop() {
-  while (true) {
-    WorkItem item;
-    {
-      UniqueLock g(work_mu_);
-      while (!stopping_ && work_queue_.empty()) work_cv_.wait(g);
-      if (work_queue_.empty()) return;  // stopping_ && drained
-      item = std::move(work_queue_.front());
-      work_queue_.pop_front();
-    }
-    HandleFrame(item.conn, std::move(item.payload));
-  }
-}
-
-void NetworkServer::HandleFrame(const std::shared_ptr<Connection>& conn,
-                                std::string payload) {
+std::string NetworkServer::HandleFrame(std::string_view payload) {
   wire::Request req;
   std::string detail;
   wire::WireError err = wire::DecodeRequest(payload, &req, &detail);
-  std::string reply;
   if (err != wire::WireError::kNone) {
     frames_rejected_++;
-    reply = wire::EncodeErrorReply(err, detail);
-  } else {
-    frames_decoded_++;
-    if (req.type == wire::FrameType::kInfoRequest) {
-      info_requests_++;
-      reply = wire::EncodeInfoReply(BuildInfo());
-    } else {
-      reply = wire::EncodeTxnReply(ExecuteTxn(req.txn));
-    }
+    return wire::EncodeErrorReply(err, detail);
   }
-  if (!SendAll(conn.get(), reply)) conn->dead.store(true);
-  ReturnToIo(conn->fd);  // last use of the connection on this thread
+  frames_decoded_++;
+  if (req.type == wire::FrameType::kInfoRequest) {
+    info_requests_++;
+    return wire::EncodeInfoReply(BuildInfo());
+  }
+  return wire::EncodeTxnReply(ExecuteTxn(req.txn));
 }
 
 wire::TxnReply NetworkServer::ExecuteTxn(const wire::TxnRequest& req) {
@@ -385,7 +314,8 @@ wire::TxnReply NetworkServer::ExecuteTxn(const wire::TxnRequest& req) {
           result.value = std::move(*v);
         } else {
           e = txn.last_error();
-          if (e.ok()) e = TxnError::Classify(v.status(), txn.doomed(), false);
+          if (e.ok()) e = TxnError::Classify(v.status(), txn.doomed(),
+                                   db_->repair_wired());
         }
         break;
       }
@@ -405,7 +335,9 @@ wire::TxnReply NetworkServer::ExecuteTxn(const wire::TxnRequest& req) {
                             });
         if (!s.ok()) {
           e = txn.last_error();
-          if (e.ok()) e = TxnError::Classify(s, txn.doomed(), false);
+          if (e.ok()) {
+            e = TxnError::Classify(s, txn.doomed(), db_->repair_wired());
+          }
         }
         break;
       }
@@ -433,10 +365,10 @@ wire::InfoReply NetworkServer::BuildInfo() const {
   return info;
 }
 
-bool NetworkServer::SendAll(Connection* conn, std::string_view frame) {
+bool NetworkServer::SendAll(int fd, std::string_view frame) {
   size_t sent = 0;
   while (sent < frame.size()) {
-    ssize_t n = send(conn->fd, frame.data() + sent, frame.size() - sent,
+    ssize_t n = send(fd, frame.data() + sent, frame.size() - sent,
                      MSG_NOSIGNAL);
     if (n > 0) {
       sent += static_cast<size_t>(n);
@@ -444,23 +376,13 @@ bool NetworkServer::SendAll(Connection* conn, std::string_view frame) {
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      pollfd p{conn->fd, POLLOUT, 0};
+      pollfd p{fd, POLLOUT, 0};
       if (poll(&p, 1, kSendTimeoutMs) <= 0) return false;
       continue;
     }
     return false;  // peer gone (EPIPE, ECONNRESET, ...)
   }
   return true;
-}
-
-void NetworkServer::ReturnToIo(int fd) {
-  {
-    MutexLock g(rearm_mu_);
-    rearm_queue_.push_back(fd);
-  }
-  uint64_t one = 1;
-  ssize_t ignored = write(event_fd_, &one, sizeof(one));
-  (void)ignored;
 }
 
 }  // namespace spf

@@ -1,24 +1,23 @@
 // NetworkServer: the TCP serving layer over one Database.
 //
-// Architecture (one IO thread + a fixed worker pool):
+// Architecture (one shared EPOLLONESHOT set + a fixed worker pool):
 //
-//   accept loop ──► epoll IO thread ──► frame queue ──► worker pool
-//        │                │                                  │
-//        │                │  (outer framing only: length     │ decode frame
-//        │                │   prefix + size ceiling; bytes   │ begin txn
-//        │                │   buffered per connection)       │ apply op list
-//        │                │                                  │ commit
-//        │                ◄───────── re-arm queue ───────────┘ send reply
+//   listen socket ─┐                      ┌─► worker: accept4 every pending
+//   connection A ──┼─► one epoll set ─────┤   connection, re-arm the listener
+//   connection B ──┘  (EPOLLIN |          └─► worker: read the connection,
+//                      EPOLLONESHOT;          run each complete frame in
+//                      every worker waits     order (decode, begin txn, apply
+//                      with maxevents = 1)    ops, commit, send reply), then
+//                                             re-arm it or close it
 //
-// The IO thread owns every socket: it accepts connections, reads bytes
-// into per-connection buffers, extracts length-prefixed frames, and
-// dispatches at most ONE frame per connection at a time to the worker
-// queue (responses therefore come back in request order without any
-// per-connection locking). A worker decodes the payload, runs the frame
-// as one transaction against the Database (see wire.h for the protocol),
-// writes the response on the connection's socket, and hands the
-// connection back to the IO thread through the re-arm queue — all socket
-// registration, deregistration, and closing happens on the IO thread.
+// Every socket is registered with EPOLLONESHOT, so a ready connection is
+// handed to exactly ONE worker and stays disarmed while that worker runs
+// it: replies come back in request order without per-connection locks,
+// and a frame costs one wakeup each way (client → worker → client), with
+// no thread or queue in between. Any idle worker takes any other ready
+// connection, so a worker parked in a repair or at the restore gate holds
+// up only its own connection. The connection registry is touched only by
+// accept and close.
 //
 // Malformed input never kills the server: a payload the decoder rejects
 // is answered with a kErrorReply and the connection stays usable (the
@@ -36,7 +35,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -80,14 +78,15 @@ class NetworkServer {
   NetworkServer(const NetworkServer&) = delete;             ///< not copyable
   NetworkServer& operator=(const NetworkServer&) = delete;  ///< not copyable
 
-  /// Binds (or adopts) the listen socket and spawns the IO thread plus
-  /// the worker pool. Fails with IOError when the socket cannot be
-  /// bound; the server is then inert and Start may be retried.
+  /// Binds (or adopts) the listen socket and spawns the worker pool.
+  /// Fails with IOError when the socket cannot be bound; the server is
+  /// then inert and Start may be retried.
   Status Start();
 
   /// Drains in-flight frames, closes every connection, and joins all
-  /// threads. Idempotent. Frames queued before Stop are still executed
-  /// and answered; bytes arriving after it are dropped with the socket.
+  /// threads. Idempotent. Every complete frame a worker has already read
+  /// is still executed and answered; bytes arriving after Stop are
+  /// dropped with the socket.
   void Stop();
 
   /// True between a successful Start and Stop.
@@ -105,51 +104,36 @@ class NetworkServer {
   StatsSnapshot Stats() const;
 
  private:
-  /// Per-connection state. The IO thread owns everything except `dead`
-  /// (set by a worker whose response write failed) and the socket write
-  /// side (used by the worker holding the connection's one in-flight
-  /// frame; the IO thread never writes to a busy connection and never
-  /// closes one until the worker hands it back).
+  /// Per-connection state, owned by whichever worker epoll handed the
+  /// connection to (EPOLLONESHOT keeps it disarmed until that worker
+  /// re-arms it). `released` passes ownership on: the owner sets it once
+  /// its arming epoll_ctl has returned, and the next owner waits for it,
+  /// because neither the C++ memory model nor TSan sees epoll as a
+  /// release/acquire pair.
   struct Connection {
-    int fd = -1;                    ///< the socket
-    std::string inbuf;              ///< bytes read, not yet framed
-    bool busy = false;              ///< a worker owns a dispatched frame
-    bool registered = false;        ///< currently in the epoll set
-    bool peer_gone = false;         ///< EOF/error seen; close once drained
-    std::atomic<bool> dead{false};  ///< worker write failed: close on re-arm
+    int fd = -1;                ///< the socket
+    std::string inbuf;          ///< bytes read, not yet run as frames
+    std::atomic<bool> released{false};  ///< the last owner is done
   };
 
-  /// One dispatched frame: the owning connection plus its payload bytes.
-  struct WorkItem {
-    std::shared_ptr<Connection> conn;
-    std::string payload;
-  };
-
-  void IoLoop();
   void WorkerLoop();
-
-  // IO-thread helpers.
+  /// accept4s every pending connection and registers each one.
   void AcceptNewConnections();
-  void ReadFromConnection(const std::shared_ptr<Connection>& conn);
-  /// Extracts complete frames from `conn->inbuf` and dispatches the next
-  /// one if the connection is idle; closes the connection on an
-  /// unframeable stream.
-  void PumpConnection(const std::shared_ptr<Connection>& conn);
-  void RearmReturnedConnections();
-  void Register(const std::shared_ptr<Connection>& conn);
-  void Deregister(const std::shared_ptr<Connection>& conn);
-  void CloseConnection(const std::shared_ptr<Connection>& conn);
+  /// Runs one ready connection: reads it, runs every complete buffered
+  /// frame in order, then re-arms it or closes it.
+  void ServeConnection(Connection* conn);
+  /// Adds (EPOLL_CTL_ADD) or re-arms (EPOLL_CTL_MOD) the connection as
+  /// one-shot readable. On success this is the last use of `conn` on
+  /// this thread; on failure the caller still owns it.
+  bool Arm(Connection* conn, int op);
+  void CloseConnection(Connection* conn);
 
-  // Worker helpers.
-  void HandleFrame(const std::shared_ptr<Connection>& conn,
-                   std::string payload);
+  /// Decodes and runs one frame payload; returns the reply frame.
+  std::string HandleFrame(std::string_view payload);
   wire::TxnReply ExecuteTxn(const wire::TxnRequest& req);
   wire::InfoReply BuildInfo() const;
   /// Writes the complete frame; false when the peer is gone.
-  bool SendAll(Connection* conn, std::string_view frame);
-  /// Hands the connection back to the IO thread (last use of `conn` on
-  /// the worker).
-  void ReturnToIo(int fd);
+  bool SendAll(int fd, std::string_view frame);
 
   Database* const db_;
   const ServerOptions options_;
@@ -160,28 +144,17 @@ class NetworkServer {
   int adopted_fd_ = -1;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int event_fd_ = -1;
+  /// Level-triggered member of the epoll set, written once by Stop: every
+  /// worker that sees it ready exits.
+  int stop_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
-  std::atomic<bool> io_stop_{false};
 
-  std::thread io_thread_;
-  std::vector<std::thread> workers_;
-
-  // Frame queue (IO thread -> workers). Never nested with rearm_mu_
-  // (equal rank would abort): each handoff holds exactly one queue lock,
-  // and neither is ever held across an engine call.
-  OrderedMutex work_mu_{LockRank::kServerQueue};
-  CondVar work_cv_;
-  std::deque<WorkItem> work_queue_ SPF_GUARDED_BY(work_mu_);
-  bool stopping_ SPF_GUARDED_BY(work_mu_) = false;
-
-  // Re-arm queue (workers -> IO thread), drained on event_fd_ wakeups.
-  OrderedMutex rearm_mu_{LockRank::kServerQueue};
-  std::vector<int> rearm_queue_ SPF_GUARDED_BY(rearm_mu_);
-
-  // IO-thread-only connection registry.
-  std::unordered_map<int, std::shared_ptr<Connection>> conns_;
+  /// Connection registry, touched only by accept and close. An entry is
+  /// erased BEFORE its fd is closed: accept4 reuses fd numbers at once.
+  OrderedMutex conns_mu_{LockRank::kServerQueue};
+  std::unordered_map<int, std::unique_ptr<Connection>> conns_
+      SPF_GUARDED_BY(conns_mu_);
 
   // Counters (ServerStats).
   std::atomic<uint64_t> connections_accepted_{0};
@@ -193,6 +166,8 @@ class NetworkServer {
   std::atomic<uint64_t> txns_failed_{0};
   std::atomic<uint64_t> info_requests_{0};
   std::atomic<uint64_t> gate_parked_commits_{0};
+
+  std::vector<std::thread> workers_;  ///< declared last: they use the above
 };
 
 }  // namespace spf

@@ -4,7 +4,8 @@
 // allocations and frees happen inside system transactions whose log records
 // (PageFormat / PageFree) update the allocator during restart redo, and each
 // checkpoint embeds a serialized snapshot of the allocator so analysis can
-// start from a consistent image (DESIGN.md S3).
+// start from a consistent image (docs/ARCHITECTURE.md, "Page allocation
+// durability").
 
 #pragma once
 

@@ -172,13 +172,49 @@ TEST(TxnErrorTest, ClassifyDistinguishesStorageAndFatal) {
             TxnError::Kind::kStorage);
   EXPECT_EQ(TxnError::Classify(Status::ReadFailure("x"), false, false).kind(),
             TxnError::Kind::kStorage);
-  EXPECT_EQ(TxnError::Classify(Status::MediaFailure("x"), false, true).kind(),
+  // A failed device is transient when repair is wired (the retry parks at
+  // the restore gate), fatal when it is not; an internal error always is.
+  EXPECT_TRUE(TxnError::Classify(Status::MediaFailure("x"), false, true)
+                  .retryable());
+  EXPECT_EQ(TxnError::Classify(Status::MediaFailure("x"), false, false).kind(),
+            TxnError::Kind::kFatal);
+  EXPECT_EQ(TxnError::Classify(Status::Internal("x"), false, true).kind(),
             TxnError::Kind::kFatal);
   // kAborted means kDoomed only with the doomed-handle context bit.
   EXPECT_EQ(TxnError::Classify(Status::Aborted("x"), true, true).kind(),
             TxnError::Kind::kDoomed);
   EXPECT_EQ(TxnError::Classify(Status::Aborted("x"), false, true).kind(),
             TxnError::Kind::kUser);
+}
+
+TEST(TxnErrorTest, DeviceFailureBeforeRestoreIsRetryable) {
+  // A read that faults a page after the device failed but before the
+  // restore gate closes is retryable: the retried transaction succeeds
+  // once the device is restored.
+  auto db = MakeDb();
+  {
+    Txn setup = db->BeginTxn();
+    for (int i = 0; i < 200; ++i) ASSERT_TRUE(setup.Put(Key(i), "v").ok());
+    ASSERT_TRUE(setup.Commit().ok());
+  }
+  ASSERT_TRUE(db->TakeFullBackup().status().ok());
+  db->pool()->DiscardAll();  // Key(7)'s leaf is no longer cached
+
+  db->data_device()->FailDevice();
+  {
+    Txn t = db->BeginTxn();
+    EXPECT_FALSE(t.Get(Key(7)).ok());
+    EXPECT_TRUE(t.last_error().status().IsMediaFailure());
+    EXPECT_EQ(t.last_error().kind(), TxnError::Kind::kTransient);
+    EXPECT_TRUE(t.last_error().retryable());
+  }
+  ASSERT_TRUE(db->RecoverMedia().ok());
+
+  Txn retry = db->BeginTxn();
+  auto v = retry.Get(Key(7));
+  ASSERT_TRUE(v.ok()) << retry.last_error().ToString();
+  EXPECT_EQ(*v, "v");
+  EXPECT_TRUE(retry.Commit().ok());
 }
 
 // --- crash semantics -------------------------------------------------------------

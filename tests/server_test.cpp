@@ -14,9 +14,9 @@
 //    frames_decoded == txns_committed + txns_failed + info_requests, and
 //    accepted connections are eventually closed.
 //
-// The TSan CI job runs this binary standalone (like the stress test): the
-// IO thread, worker pool, client threads, restore thread, and archiver
-// all race here on purpose.
+// The TSan CI job runs this binary standalone and repeated (like the
+// stress test): workers re-arming the shared epoll set, client threads,
+// the restore thread, and the archiver all race here on purpose.
 
 #include <gtest/gtest.h>
 
@@ -195,7 +195,8 @@ TEST_F(ServerTest, InfoCountersAreConservedAndVersioned) {
   EXPECT_GT(info.Counter("locks.acquisitions"), 0u);
 
   client.Close();
-  // The close is observed asynchronously by the IO thread.
+  // The close is observed asynchronously, by whichever worker the
+  // connection's EOF is handed to.
   EXPECT_TRUE(WaitFor([&] {
     ServerStats s = server_->server_stats();
     return s.connections_closed == s.connections_accepted;
@@ -266,6 +267,171 @@ TEST_F(ServerTest, StopDrainsInFlightFramesAndStartAgainWorks) {
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, "v");
   again.Close();
+}
+
+// A frame parked on a key lock holds up only its own connection: any idle
+// worker serves every other ready connection meanwhile (with per-worker
+// epoll sets, some of the 8 other connections would share the parked
+// worker's set and stall behind it).
+TEST_F(ServerTest, ParkedFrameHoldsOnlyItsOwnConnection) {
+  DatabaseOptions options = FastOptions();
+  options.lock_timeout = std::chrono::milliseconds(20000);
+  StartServer(options, /*workers=*/4);
+
+  Txn holder = db_->BeginTxn();
+  ASSERT_TRUE(holder.Put("held", "holder").ok());
+  Client parked;
+  ASSERT_TRUE(parked.Connect("127.0.0.1", port_).ok());
+  wire::TxnRequest blocked;
+  blocked.Put("held", "parked");
+  ASSERT_TRUE(parked.SendRaw(wire::EncodeTxnRequest(blocked)).ok());
+  ASSERT_TRUE(WaitFor([&] { return server_->server_stats().ops_served >= 1; }));
+
+  constexpr int kOthers = 8;
+  constexpr int kFrames = 20;
+  std::atomic<int> acked{0};
+  std::vector<std::thread> others;
+  for (int c = 0; c < kOthers; ++c) {
+    others.emplace_back([&, c] {
+      Client client;
+      ASSERT_TRUE(client.Connect("127.0.0.1", port_).ok());
+      for (int f = 0; f < kFrames; ++f) {
+        if (client.Put(Key(c * 1000 + f), "v").ok()) acked++;
+      }
+    });
+  }
+  for (auto& th : others) th.join();
+  EXPECT_EQ(acked.load(), kOthers * kFrames);
+  // The parked frame is still waiting for the lock.
+  EXPECT_EQ(server_->server_stats().txns_committed,
+            static_cast<uint64_t>(kOthers * kFrames));
+
+  ASSERT_TRUE(holder.Commit().ok());
+  wire::Reply reply;
+  ASSERT_TRUE(parked.ReadReply(&reply).ok());
+  ASSERT_EQ(reply.type, wire::FrameType::kTxnReply);
+  EXPECT_TRUE(reply.txn.ok()) << reply.txn.message;
+  EXPECT_EQ(*db_->Get("held"), "parked");
+}
+
+// Connection churn beside live traffic: accept4 hands out the fd numbers
+// that closing connections just released, so a registry entry erased
+// after close() would drop or free a live connection. Every reply must
+// reach its own connection and every accepted connection must close.
+TEST_F(ServerTest, ConnectionChurnKeepsRepliesOnTheirConnections) {
+  StartServer(FastOptions(), /*workers=*/4);
+
+  // A frame whose reply names its sender: the Get returns the value the
+  // same frame just wrote under a key unique to this thread and cycle.
+  auto own_frame = [](const std::string& key, const std::string& value) {
+    wire::TxnRequest req;
+    req.Put(key, value);
+    req.Get(key);
+    return req;
+  };
+  auto reply_is = [](const wire::TxnReply& r, const std::string& value) {
+    return r.ok() && r.results.size() == 2 && r.results[1].value == value;
+  };
+
+  std::atomic<bool> churn_done{false};
+  std::atomic<int> misrouted{0};
+  std::vector<std::thread> live;
+  for (int c = 0; c < 2; ++c) {
+    live.emplace_back([&, c] {
+      Client client;
+      ASSERT_TRUE(client.Connect("127.0.0.1", port_).ok());
+      for (int i = 0; !churn_done.load(); ++i) {
+        std::string value = "live" + std::to_string(c) + "-" + std::to_string(i);
+        wire::TxnReply reply;
+        ASSERT_TRUE(
+            client.ExecuteWithRetry(own_frame(Key(900000 + c), value), &reply)
+                .ok());
+        if (!reply_is(reply, value)) misrouted++;
+      }
+    });
+  }
+
+  constexpr int kThreads = 8;
+  constexpr int kCycles = 200;
+  std::vector<std::thread> churners;
+  for (int t = 0; t < kThreads; ++t) {
+    churners.emplace_back([&, t] {
+      for (int i = 0; i < kCycles; ++i) {
+        Client client;
+        ASSERT_TRUE(client.Connect("127.0.0.1", port_).ok());
+        std::string key = Key(t * 10000 + i);
+        std::string value =
+            "churn" + std::to_string(t) + "-" + std::to_string(i);
+        ASSERT_TRUE(client.SendRaw(wire::EncodeTxnRequest(own_frame(key, value)))
+                        .ok());
+        if (i % 2 == 0) {  // every other cycle closes without reading
+          wire::Reply reply;
+          ASSERT_TRUE(client.ReadReply(&reply).ok());
+          if (!reply_is(reply.txn, value)) misrouted++;
+        }
+        client.Close();
+      }
+    });
+  }
+  for (auto& th : churners) th.join();
+  churn_done = true;
+  for (auto& th : live) th.join();
+
+  EXPECT_EQ(misrouted.load(), 0);
+  ASSERT_TRUE(WaitFor([&] {
+    ServerStats s = server_->server_stats();
+    return s.connections_closed == s.connections_accepted;
+  }));
+  ServerStats s = server_->server_stats();
+  EXPECT_EQ(s.connections_accepted,
+            static_cast<uint64_t>(kThreads * kCycles + 2));
+  EXPECT_EQ(s.frames_decoded,
+            s.txns_committed + s.txns_failed + s.info_requests);
+  EXPECT_EQ(db_->Stats().locks.keys_tracked, 0u);
+}
+
+// Stop answers every frame a worker has already read, even when the first
+// of a pipelined batch is parked on a lock, and then closes every socket.
+TEST_F(ServerTest, StopAnswersPipelinedFramesAlreadyRead) {
+  DatabaseOptions options = FastOptions();
+  options.lock_timeout = std::chrono::milliseconds(20000);
+  StartServer(options, /*workers=*/2);
+
+  Txn holder = db_->BeginTxn();
+  ASSERT_TRUE(holder.Put("held", "holder").ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port_).ok());
+  constexpr int kPipelined = 8;
+  std::string batch;
+  for (int i = 0; i < kPipelined; ++i) {
+    wire::TxnRequest req;
+    req.Put(i == 0 ? std::string("held") : Key(i), "p" + std::to_string(i));
+    batch += wire::EncodeTxnRequest(req);
+  }
+  ASSERT_TRUE(client.SendRaw(batch).ok());  // one send: read as one batch
+  ASSERT_TRUE(WaitFor([&] { return server_->server_stats().ops_served >= 1; }));
+
+  std::atomic<bool> stopping{false};
+  std::thread stopper([&] {
+    stopping = true;
+    server_->Stop();
+  });
+  ASSERT_TRUE(WaitFor([&] { return stopping.load(); }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(holder.Commit().ok());  // unparks the first frame
+  stopper.join();
+
+  for (int i = 0; i < kPipelined; ++i) {
+    wire::Reply reply;
+    ASSERT_TRUE(client.ReadReply(&reply).ok()) << "frame " << i;
+    EXPECT_TRUE(reply.txn.ok()) << "frame " << i << ": " << reply.txn.message;
+  }
+  wire::Reply none;
+  EXPECT_FALSE(client.ReadReply(&none).ok());  // the socket was closed
+  ServerStats s = server_->server_stats();
+  EXPECT_EQ(s.txns_committed, static_cast<uint64_t>(kPipelined));
+  EXPECT_EQ(s.connections_closed, s.connections_accepted);
+  EXPECT_EQ(*db_->Get("held"), "p0");
 }
 
 // The headline soak: 8 clients hammering single-shot frames with the
