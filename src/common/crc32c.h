@@ -9,7 +9,9 @@
 namespace spf {
 namespace crc32c {
 
-/// Computes the CRC32C of `data[0, n)` extending `init_crc`.
+/// Computes the CRC32C of `data[0, n)` extending `init_crc`. Uses the
+/// SSE4.2 crc32 instruction when the CPU has it, else a byte-at-a-time
+/// table; both give the same value.
 uint32_t Extend(uint32_t init_crc, const void* data, size_t n);
 
 /// Computes the CRC32C of `data[0, n)`.
@@ -26,6 +28,12 @@ inline uint32_t Unmask(uint32_t masked) {
   uint32_t rot = masked - 0xa282ead8u;
   return (rot >> 17) | (rot << 15);
 }
+
+namespace internal {
+/// The portable table path of Extend(): the fallback on CPUs without
+/// SSE4.2 and the reference the tests compare the hardware path against.
+uint32_t ExtendTable(uint32_t init_crc, const void* data, size_t n);
+}  // namespace internal
 
 }  // namespace crc32c
 }  // namespace spf

@@ -494,7 +494,7 @@ StatusOr<bool> LogArchiver::ArchiveTick() {
       Entry e;
       e.page_id = rec.page_id;
       e.lsn = rec.lsn;
-      e.payload = rec.Serialize();
+      e.payload = std::string(it.raw());
       payload_bytes += kEntryFrameBytes + e.payload.size();
       entries.push_back(std::move(e));
     }

@@ -211,7 +211,7 @@ class LogArchiver {
   struct Entry {
     PageId page_id;
     Lsn lsn;
-    std::string payload;  ///< LogRecord::Serialize() bytes
+    std::string payload;  ///< the record's log bytes (Serialize() format)
   };
 
   std::string EncodeDirectoryLocked() const;

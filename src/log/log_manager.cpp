@@ -260,8 +260,8 @@ void LogManager::Iterator::ReadCurrent() {
       !Cover(total)) {
     return;  // truncated/corrupt tail terminates the scan
   }
-  auto rec_or = ParseLogRecord(
-      std::string_view(window_).substr(pos_ - window_start_, total));
+  raw_ = std::string_view(window_).substr(pos_ - window_start_, total);
+  auto rec_or = ParseLogRecord(raw_);
   if (!rec_or.ok()) return;
   rec_ = std::move(rec_or).value();
   rec_.lsn = pos_;

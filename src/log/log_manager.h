@@ -183,6 +183,9 @@ class LogManager {
     /// False when the scan is exhausted.
     bool Valid() const { return valid_; }
     const LogRecord& record() const { return rec_; }
+    /// The current record's bytes as they lie in the log (what
+    /// LogRecord::Serialize() would rebuild); valid until Next().
+    std::string_view raw() const { return raw_; }
     void Next();
 
     /// Most log bytes one device read brings in (less near `end`).
@@ -199,6 +202,7 @@ class LogManager {
     Lsn end_;
     bool valid_ = false;
     LogRecord rec_;
+    std::string_view raw_;  ///< rec_'s bytes inside window_
     std::string window_;  ///< log bytes from window_start_ on
     uint64_t window_start_ = 0;
   };

@@ -1,5 +1,6 @@
 #include "storage/sim_device.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace spf {
@@ -197,8 +198,20 @@ SimLogDevice::SimLogDevice(std::string name, DeviceProfile profile,
 
 uint64_t SimLogDevice::Append(std::string_view data) {
   MutexLock g(mu_);
-  uint64_t offset = data_.size();
-  data_.append(data.data(), data.size());
+  const uint64_t offset = size_;
+  const char* src = data.data();
+  uint64_t left = data.size();
+  while (left > 0) {
+    if (size_ == chunks_.size() * kChunkBytes) {
+      chunks_.push_back(std::make_unique<char[]>(kChunkBytes));
+    }
+    const uint64_t at = size_ % kChunkBytes;
+    const uint64_t n = std::min(left, kChunkBytes - at);
+    std::memcpy(chunks_.back().get() + at, src, n);
+    src += n;
+    left -= n;
+    size_ += n;
+  }
   return offset;
 }
 
@@ -210,25 +223,25 @@ void SimLogDevice::Sync() {
   // latency on flash) no matter how few bytes it carries. This fixed
   // per-sync cost is exactly what group commit amortizes: N committers
   // sharing one sync split one positioning charge instead of paying N.
-  if (data_.size() == synced_size_) {
+  if (size_ == synced_size_) {
     uint64_t ns = profile_.AccessNanos(0, /*sequential=*/false);
     clock_->AdvanceNanos(ns);
     stats_.sim_ns_charged += ns;
     return;
   }
-  uint64_t tail = data_.size() - synced_size_;
+  uint64_t tail = size_ - synced_size_;
   uint64_t ns = profile_.AccessNanos(tail, /*sequential=*/false);
   clock_->AdvanceNanos(ns);
   stats_.sim_ns_charged += ns;
   stats_.page_writes++;
   stats_.bytes_written += tail;
   stats_.random_accesses++;
-  synced_size_ = data_.size();
+  synced_size_ = size_;
 }
 
 Status SimLogDevice::ReadAt(uint64_t offset, uint64_t n, char* out) const {
   MutexLock g(mu_);
-  if (offset + n > data_.size()) {
+  if (offset + n > size_) {
     return Status::IOError("log read past end");
   }
   const bool sequential = offset == last_read_end_;
@@ -243,13 +256,20 @@ Status SimLogDevice::ReadAt(uint64_t offset, uint64_t n, char* out) const {
   } else {
     stats_.random_accesses++;
   }
-  std::memcpy(out, data_.data() + offset, n);
+  while (n > 0) {
+    const uint64_t at = offset % kChunkBytes;
+    const uint64_t len = std::min(n, kChunkBytes - at);
+    std::memcpy(out, chunks_[offset / kChunkBytes].get() + at, len);
+    out += len;
+    offset += len;
+    n -= len;
+  }
   return Status::OK();
 }
 
 uint64_t SimLogDevice::size() const {
   MutexLock g(mu_);
-  return data_.size();
+  return size_;
 }
 
 uint64_t SimLogDevice::synced_size() const {
@@ -259,7 +279,8 @@ uint64_t SimLogDevice::synced_size() const {
 
 void SimLogDevice::DropUnsynced() {
   MutexLock g(mu_);
-  data_.resize(synced_size_);
+  size_ = synced_size_;
+  chunks_.resize((size_ + kChunkBytes - 1) / kChunkBytes);
 }
 
 DeviceStats SimLogDevice::stats() const {

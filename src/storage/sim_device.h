@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include "common/sync.h"
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -187,8 +188,14 @@ class SimDevice {
 /// appended bytes are never lost once Sync() returns. Reads at arbitrary
 /// offsets model the random I/O of walking a per-page log chain; appends
 /// are sequential.
+///
+/// The bytes live in fixed-size chunks: growing the log allocates one more
+/// chunk and never copies what is already written while holding mu_.
 class SimLogDevice {
  public:
+  /// Bytes per storage chunk.
+  static constexpr uint64_t kChunkBytes = 1 << 20;
+
   SimLogDevice(std::string name, DeviceProfile profile, SimClock* clock);
 
   SPF_DISALLOW_COPY(SimLogDevice);
@@ -211,7 +218,8 @@ class SimLogDevice {
   /// Size that is durable (would survive a crash).
   uint64_t synced_size() const;
 
-  /// Simulates a crash: discards all bytes appended after the last Sync().
+  /// Simulates a crash: discards all bytes appended after the last Sync()
+  /// and frees the chunks that held only those bytes.
   void DropUnsynced();
 
   DeviceStats stats() const;
@@ -223,7 +231,10 @@ class SimLogDevice {
   SimClock* const clock_;
 
   mutable OrderedMutex mu_{LockRank::kDevice};
-  std::string data_ SPF_GUARDED_BY(mu_);
+  /// Log byte i is chunks_[i / kChunkBytes][i % kChunkBytes]; there are
+  /// exactly enough chunks to hold size_ bytes.
+  std::vector<std::unique_ptr<char[]>> chunks_ SPF_GUARDED_BY(mu_);
+  uint64_t size_ SPF_GUARDED_BY(mu_) = 0;
   uint64_t synced_size_ SPF_GUARDED_BY(mu_) = 0;
   mutable uint64_t last_read_end_ SPF_GUARDED_BY(mu_) = UINT64_MAX;
   mutable DeviceStats stats_ SPF_GUARDED_BY(mu_);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -103,20 +104,59 @@ TEST(Crc32cTest, KnownProperties) {
   EXPECT_NE(c1, crc32c::Value(data.data(), data.size()));
 }
 
+// Extend() takes the SSE4.2 path on CPUs that have it; the table path is
+// reached directly through crc32c::internal so it stays covered there too.
 TEST(Crc32cTest, StandardVector) {
   // CRC32C of 32 bytes of zeros (iSCSI test vector): 0x8a9136aa.
   std::string zeros(32, '\0');
   EXPECT_EQ(crc32c::Value(zeros.data(), zeros.size()), 0x8a9136aau);
+  EXPECT_EQ(crc32c::internal::ExtendTable(0, zeros.data(), zeros.size()),
+            0x8a9136aau);
   // CRC32C of "123456789" is 0xe3069283.
   EXPECT_EQ(crc32c::Value("123456789", 9), 0xe3069283u);
+  EXPECT_EQ(crc32c::internal::ExtendTable(0, "123456789", 9), 0xe3069283u);
+}
+
+std::string RandomBytes(size_t n, uint64_t seed) {
+  Random rnd(seed);
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rnd.Next());
+  return out;
+}
+
+TEST(Crc32cTest, HardwareMatchesTable) {
+  // Every length 0-300 at every start offset 0-7, then one 8 KiB page.
+  const std::string buf = RandomBytes(300 + 8, 26);
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t n = 0; n <= 300; ++n) {
+      const char* p = buf.data() + start;
+      ASSERT_EQ(crc32c::Value(p, n), crc32c::internal::ExtendTable(0, p, n))
+          << "start " << start << " length " << n;
+      ASSERT_EQ(crc32c::Extend(0x12345678u, p, n),
+                crc32c::internal::ExtendTable(0x12345678u, p, n))
+          << "start " << start << " length " << n;
+    }
+  }
+  const std::string page = RandomBytes(8192, 8192);
+  EXPECT_EQ(crc32c::Value(page.data(), page.size()),
+            crc32c::internal::ExtendTable(0, page.data(), page.size()));
 }
 
 TEST(Crc32cTest, ExtendComposes) {
-  std::string data = "hello world, this is a checksum test";
-  uint32_t whole = crc32c::Value(data.data(), data.size());
-  uint32_t part = crc32c::Extend(crc32c::Value(data.data(), 10),
-                                 data.data() + 10, data.size() - 10);
-  EXPECT_EQ(whole, part);
+  const std::string buf = RandomBytes(64, 64);
+  const uint32_t whole = crc32c::internal::ExtendTable(0, buf.data(), 64);
+  for (size_t k = 0; k <= 64; ++k) {
+    const uint32_t head = crc32c::Value(buf.data(), k);
+    EXPECT_EQ(crc32c::Extend(head, buf.data() + k, 64 - k), whole)
+        << "split at " << k;
+    // The two paths can hand a running CRC to each other.
+    const uint32_t table_head = crc32c::internal::ExtendTable(0, buf.data(), k);
+    EXPECT_EQ(crc32c::Extend(table_head, buf.data() + k, 64 - k), whole)
+        << "split at " << k;
+    EXPECT_EQ(crc32c::internal::ExtendTable(head, buf.data() + k, 64 - k),
+              whole)
+        << "split at " << k;
+  }
 }
 
 TEST(Crc32cTest, MaskRoundTrips) {

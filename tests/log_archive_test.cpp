@@ -197,6 +197,34 @@ TEST(LogArchiveTest, MergeLadderBoundsRunCountAndKeepsTiling) {
   EXPECT_EQ(streamed, stats.records_archived);
 }
 
+// The drain archives each record's bytes as the log scan read them: every
+// archived payload is byte-equal to the log at its LSN, and the runs hold
+// nothing besides the [u64 lsn][u32 len] frame and those bytes.
+TEST(LogArchiveTest, ArchivedPayloadsAreTheLogBytes) {
+  auto db = std::move(Database::Create(FastOptions())).value();
+  Load(db.get(), 0, 300);
+  LogArchiver* ar = db->archiver();
+  ASSERT_TRUE(ar->ArchiveAll().ok());
+  ASSERT_GT(ar->stats().merges, 0u) << "merged runs should be covered too";
+
+  uint64_t records = 0;
+  uint64_t entry_bytes = 0;
+  auto fetched = ar->FetchRange(
+      0, kInvalidPageId - 1, 0, [&](LogRecord&& rec) {
+        std::string logged(rec.length, '\0');
+        ASSERT_TRUE(
+            db->log()->ReadRaw(rec.lsn, rec.length, logged.data()).ok());
+        EXPECT_EQ(rec.Serialize(), logged) << "lsn " << rec.lsn;
+        entry_bytes += 8 + 4 + rec.length;
+        records++;
+      });
+  ASSERT_TRUE(fetched.ok());
+  EXPECT_EQ(records, ar->stats().records_archived);
+  uint64_t run_bytes = 0;
+  for (const ArchiveRunInfo& r : ar->runs()) run_bytes += r.data_bytes;
+  EXPECT_EQ(run_bytes, entry_bytes);
+}
+
 TEST(LogArchiveTest, TruncationWatermarkNeedsArchiveAndCheckpoint) {
   auto db = std::move(Database::Create(FastOptions())).value();
   Load(db.get(), 0, 100);

@@ -225,6 +225,7 @@ TEST_F(LogTest, ScanReadsWindowsNotRecords) {
     ASSERT_LT(count, lsns.size());
     EXPECT_EQ(it.record().lsn, lsns[count]);
     EXPECT_EQ(it.record().body[0], static_cast<char>('a' + count % 26));
+    EXPECT_EQ(it.raw(), it.record().Serialize());  // the bytes as logged
     count++;
   }
   EXPECT_EQ(count, lsns.size());

@@ -236,6 +236,81 @@ TEST(SimLogDeviceTest, CrashDropsUnsyncedTail) {
   EXPECT_EQ(std::string(buf, 7), "durable");
 }
 
+// The log device stores its bytes in kChunkBytes chunks; appends, reads
+// and crash truncation must not see the chunk boundaries.
+std::string Pattern(uint64_t offset, uint64_t n) {
+  std::string out(n, '\0');
+  for (uint64_t i = 0; i < n; ++i) {
+    out[i] = static_cast<char>((offset + i) * 131 % 251);
+  }
+  return out;
+}
+
+TEST(SimLogDeviceTest, AppendStraddlesChunkBoundary) {
+  constexpr uint64_t kChunk = SimLogDevice::kChunkBytes;
+  SimClock clock;
+  SimLogDevice log("wal", DeviceProfile::Instant(), &clock);
+  EXPECT_EQ(log.Append(Pattern(0, kChunk - 100)), 0u);
+  EXPECT_EQ(log.Append(Pattern(kChunk - 100, 300)), kChunk - 100);
+  EXPECT_EQ(log.size(), kChunk + 200);
+  EXPECT_EQ(log.synced_size(), 0u);
+  log.Sync();
+  EXPECT_EQ(log.synced_size(), kChunk + 200);
+
+  std::string out(300, '\0');
+  ASSERT_TRUE(log.ReadAt(kChunk - 100, 300, out.data()).ok());
+  EXPECT_EQ(out, Pattern(kChunk - 100, 300));
+  EXPECT_TRUE(log.ReadAt(kChunk, 201, out.data()).IsIOError());
+}
+
+TEST(SimLogDeviceTest, ReadSpansThreeChunks) {
+  constexpr uint64_t kChunk = SimLogDevice::kChunkBytes;
+  SimClock clock;
+  SimLogDevice log("wal", DeviceProfile::Instant(), &clock);
+  const uint64_t total = 2 * kChunk + 4096;
+  EXPECT_EQ(log.Append(Pattern(0, total)), 0u);
+  EXPECT_EQ(log.size(), total);
+  log.Sync();
+  EXPECT_EQ(log.synced_size(), total);
+
+  const uint64_t from = kChunk - 10;
+  const uint64_t n = kChunk + 20 + 1000;  // ends 1010 bytes into chunk 2
+  std::string out(n, '\0');
+  ASSERT_TRUE(log.ReadAt(from, n, out.data()).ok());
+  EXPECT_EQ(out, Pattern(from, n));
+  EXPECT_EQ(log.size(), total);
+  EXPECT_EQ(log.synced_size(), total);
+}
+
+TEST(SimLogDeviceTest, DropUnsyncedMidChunkThenAppend) {
+  constexpr uint64_t kChunk = SimLogDevice::kChunkBytes;
+  SimClock clock;
+  SimLogDevice log("wal", DeviceProfile::Instant(), &clock);
+  const uint64_t synced = kChunk + 500;  // mid chunk 1
+  log.Append(Pattern(0, synced));
+  log.Sync();
+  // The unsynced tail runs two chunks further; a crash drops it all.
+  log.Append(std::string(2 * kChunk, 'x'));
+  EXPECT_EQ(log.size(), synced + 2 * kChunk);
+  EXPECT_EQ(log.synced_size(), synced);
+  log.DropUnsynced();
+  EXPECT_EQ(log.size(), synced);
+  EXPECT_EQ(log.synced_size(), synced);
+  char byte;
+  EXPECT_TRUE(log.ReadAt(synced, 1, &byte).IsIOError());
+
+  // The next append lands right after the synced bytes, in the kept chunk
+  // and on into a fresh one.
+  EXPECT_EQ(log.Append(Pattern(synced, kChunk)), synced);
+  EXPECT_EQ(log.size(), synced + kChunk);
+  EXPECT_EQ(log.synced_size(), synced);
+  std::string out(synced + kChunk, '\0');
+  ASSERT_TRUE(log.ReadAt(0, out.size(), out.data()).ok());
+  EXPECT_EQ(out, Pattern(0, synced + kChunk));
+  log.Sync();
+  EXPECT_EQ(log.synced_size(), synced + kChunk);
+}
+
 TEST(SimLogDeviceTest, SequentialReadDetection) {
   SimClock clock;
   SimLogDevice log("wal", DeviceProfile::Hdd100(), &clock);
