@@ -5,7 +5,9 @@
 // well under a second; single-page recovery is "closest to that of
 // transaction rollback ... a second or less" (dozens of log I/Os plus one
 // backup-page I/O on disk-class storage); system restart takes seconds to
-// a minute depending on checkpoint distance; media recovery is bounded by
+// a minute depending on checkpoint distance (instant restart admits
+// transactions before redo, so the table shows both time to admission and
+// time until every page is redone); media recovery is bounded by
 // sequentially re-transferring the whole device plus log replay — minutes
 // to hours. The decisive ordering to verify:
 //
@@ -93,12 +95,22 @@ void Run() {
 
     db->SimulateCrash();
     SimTimer timer(db->clock());
-    auto stats = db->Restart();
-    double elapsed = timer.ElapsedSeconds();
+    auto admitted = db->Restart();
+    double to_admission = timer.ElapsedSeconds();
+    SPF_CHECK(admitted.ok()) << admitted.status().ToString();
+    // Instant restart admits after analysis and undo; the sweep redoes
+    // the remaining pages in the background.
+    auto stats = db->AwaitRestartRedo();
+    double to_redone = timer.ElapsedSeconds();
     SPF_CHECK(stats.ok()) << stats.status().ToString();
     table.AddRow({"system", "whole system", std::to_string(active),
-                  FormatSeconds(elapsed),
-                  "ARIES analysis/redo/undo (" +
+                  FormatSeconds(to_admission),
+                  "ARIES analysis + undo, then admission (" +
+                      std::to_string(stats->redo_plan_pages) +
+                      " pages owe redo)"});
+    table.AddRow({"system, all redone", "whole system", "-",
+                  FormatSeconds(to_redone),
+                  "+ per-page redo sweep and checkpoint (" +
                       std::to_string(stats->redo_applied) + " redone)"});
   }
 

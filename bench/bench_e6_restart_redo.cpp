@@ -11,7 +11,9 @@
 // Identical crash scenario under the three tracking modes; the pages that
 // were flushed before the crash need no redo read when their writes were
 // certified. Expected: kCompletedWrites and kPri both slash redo page
-// reads and redo time vs. kNone, and match each other.
+// reads and redo time vs. kNone, and match each other. Restart is
+// instant: transactions are admitted after analysis and undo, and the
+// redo sweep reads the owed pages in page order afterwards.
 
 #include "bench_util.h"
 
@@ -51,7 +53,9 @@ Result RunMode(WriteTrackingMode mode, const std::string& name) {
   SPF_CHECK_OK(t2.Commit());
 
   db->SimulateCrash();
-  auto stats = db->Restart();
+  SPF_CHECK_OK(db->Restart().status());
+  // Instant restart admits before redo; the counts below are the sweep's.
+  auto stats = db->AwaitRestartRedo();
   SPF_CHECK(stats.ok()) << stats.status().ToString();
   return {name, *stats};
 }
@@ -65,16 +69,17 @@ void Run() {
   results.push_back(RunMode(WriteTrackingMode::kPri, "page recovery index"));
 
   Table table({"mode", "certifications", "redo page reads", "redo applied",
-               "skipped w/o read", "redo time", "restart total"});
+               "skipped w/o read", "redo time", "to admission",
+               "all redone"});
   for (const Result& r : results) {
-    double total = r.stats.analysis_sim_seconds + r.stats.redo_sim_seconds +
-                   r.stats.undo_sim_seconds;
+    double admission = r.stats.analysis_sim_seconds + r.stats.undo_sim_seconds;
     table.AddRow({r.mode, std::to_string(r.stats.write_certifications_seen),
                   std::to_string(r.stats.redo_page_reads),
                   std::to_string(r.stats.redo_applied),
                   std::to_string(r.stats.redo_skipped_by_dpt),
                   FormatSeconds(r.stats.redo_sim_seconds),
-                  FormatSeconds(total)});
+                  FormatSeconds(admission),
+                  FormatSeconds(admission + r.stats.redo_sim_seconds)});
   }
   table.Print();
   printf(

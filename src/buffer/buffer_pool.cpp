@@ -16,7 +16,7 @@ PageGuard& PageGuard::operator=(PageGuard&& other) noexcept {
 
 PageView PageGuard::view() {
   SPF_CHECK(valid());
-  return PageView(pool_->frames_[frame_]->data.get(), pool_->page_size());
+  return PageView(pool_->frames_[frame_]->data, pool_->page_size());
 }
 
 Lsn PageGuard::page_lsn() { return view().page_lsn(); }
@@ -69,24 +69,32 @@ void PageGuard::Release() {
 // ---------------------------------------------------------------------------
 
 BufferPool::BufferPool(BufferPoolOptions options, SimDevice* device,
-                       LogManager* log)
+                       LogManager* log, char* frame_memory)
     : options_(options),
       device_(device),
       log_(log),
       shards_(options.table_shards == 0 ? 1 : options.table_shards) {
   SPF_CHECK_EQ(options_.page_size, device->page_size());
   SPF_CHECK_GT(options_.num_frames, 1u);
+  // Default-initialized: the allocator hands back untouched (lazily
+  // zeroed) memory, so a pool costs only the frames it ever loads. No
+  // frame is read before LoadPage or FixNewPage writes it.
+  if (frame_memory == nullptr) {
+    own_frame_memory_.reset(new char[options_.num_frames * options_.page_size]);
+    frame_memory = own_frame_memory_.get();
+  }
   frames_.reserve(options_.num_frames);
   for (size_t i = 0; i < options_.num_frames; ++i) {
     auto f = std::make_unique<Frame>();
-    f->data = std::make_unique<char[]>(options_.page_size);
+    f->data = frame_memory + i * options_.page_size;
     frames_.push_back(std::move(f));
   }
 }
 
 BufferPool::~BufferPool() = default;
 
-Status BufferPool::LoadPage(PageId id, Frame* f) {
+Status BufferPool::ReadPage(PageId id, Frame* f, bool* repaired) {
+  *repaired = false;
   Status read_status;
   for (;;) {
     if (admission_ != nullptr) {
@@ -97,9 +105,9 @@ Status BufferPool::LoadPage(PageId id, Frame* f) {
       Status adm = admission_->AwaitRestored(id);
       if (!adm.ok()) return adm;
     }
-    read_status = device_->ReadPage(id, f->data.get());
+    read_status = device_->ReadPage(id, f->data);
     if (read_status.ok() && options_.verify_on_read) {
-      PageView page(f->data.get(), options_.page_size);
+      PageView page(f->data, options_.page_size);
       read_status = page.Verify(id);
       if (read_status.ok() && verifier_ != nullptr) {
         read_status = verifier_->VerifyOnRead(page);
@@ -131,9 +139,41 @@ Status BufferPool::LoadPage(PageId id, Frame* f) {
         read_status.ToString());
   }
   stats_.repairs_attempted.fetch_add(1, std::memory_order_relaxed);
-  Status repair_status = repairer_->RepairPage(id, f->data.get());
+  Status repair_status = repairer_->RepairPage(id, f->data);
   if (!repair_status.ok()) return repair_status;
   stats_.repairs_succeeded.fetch_add(1, std::memory_order_relaxed);
+  *repaired = true;
+  return Status::OK();
+}
+
+Status BufferPool::LoadPage(PageId id, Frame* f) {
+  bool repaired = false;
+  if (pending_redo_ == nullptr || !pending_redo_->Pending()) {
+    return ReadPage(id, f, &repaired);
+  }
+  // Instant restart: the page may still owe redo. A page whose owed redo
+  // starts with its format record is rebuilt from scratch, without a
+  // read (the device holds no image of it yet).
+  const PendingRedo::Owed owed = pending_redo_->Lookup(id);
+  if (owed == PendingRedo::Owed::kRedoFromFormat) {
+    if (admission_ != nullptr) {
+      SPF_RETURN_IF_ERROR(admission_->AwaitRestored(id));
+    }
+    std::memset(f->data, 0, options_.page_size);
+  } else {
+    SPF_RETURN_IF_ERROR(ReadPage(id, f, &repaired));
+  }
+  if (owed == PendingRedo::Owed::kNothing) return Status::OK();
+  SPF_ASSIGN_OR_RETURN(
+      Lsn first, pending_redo_->Apply(id, PageView(f->data, options_.page_size),
+                                      repaired));
+  if (first != kInvalidLsn) {
+    // Dirty from the first redone record on, as the pre-crash frame was:
+    // the dirty page table stays conservative across another crash.
+    f->rec_lsn.store(first, std::memory_order_relaxed);
+    f->dirty.store(true, std::memory_order_release);
+  }
+  pending_redo_->Retire(id);
   return Status::OK();
 }
 
@@ -206,7 +246,7 @@ Status BufferPool::WriteBack(Frame* f) {
   // write's completion is recorded before the page can be evicted.
   // The caller holds the exclusive latch, which serializes this against
   // MarkDirty and other write-backs of the same frame.
-  PageView page(f->data.get(), options_.page_size);
+  PageView page(f->data, options_.page_size);
   Lsn page_lsn = page.page_lsn();
   if (page_lsn != kInvalidLsn) {
     log_->Force(page_lsn);
@@ -220,7 +260,7 @@ Status BufferPool::WriteBack(Frame* f) {
       listener_ != nullptr && listener_->BackupImminent(update_count);
   if (backup_imminent) page.reset_update_count();
   page.UpdateChecksum();
-  SPF_RETURN_IF_ERROR(device_->WritePage(f->page_id, f->data.get()));
+  SPF_RETURN_IF_ERROR(device_->WritePage(f->page_id, f->data));
   // Clear rec_lsn BEFORE dirty: a DirtyPages reader that still observes
   // dirty==true but rec_lsn==kInvalidLsn knows the image just reached
   // the device and skips the frame.
@@ -229,7 +269,7 @@ Status BufferPool::WriteBack(Frame* f) {
   stats_.write_backs.fetch_add(1, std::memory_order_relaxed);
   if (listener_ != nullptr) {
     bool took_backup = listener_->OnPageWritten(f->page_id, page_lsn,
-                                                update_count, f->data.get());
+                                                update_count, f->data);
     if (took_backup && !backup_imminent) {
       // Listener took a copy it did not announce (no BackupImminent
       // override): restart the cadence after the fact, as before. The
@@ -278,6 +318,11 @@ StatusOr<PageGuard> BufferPool::FinishHit(Frame* f, size_t index, PageId id,
   } else {
     f->latch.Lock();
   }
+  if (f->page_id != id) {
+    // The load this hit waited for failed and unmapped the frame.
+    Unfix(index, mode);
+    return FixPage(id, mode);
+  }
   return PageGuard(this, index, id, mode);
 }
 
@@ -318,12 +363,17 @@ StatusOr<PageGuard> BufferPool::FixPage(PageId id, LatchMode mode) {
 
   Status s = LoadPage(id, f);
   if (!s.ok()) {
+    // Unmap before releasing the latch: a hit that pinned the frame
+    // during the load sees page_id change under the latch and retries
+    // instead of reading a frame the failed load never filled.
+    {
+      MutexLock vg(victim_mu_);
+      Shard& sh = ShardFor(id);
+      MutexLock g(sh.mu);
+      sh.map.erase(id);
+      f->page_id = kInvalidPageId;
+    }
     f->latch.Unlock();
-    MutexLock vg(victim_mu_);
-    Shard& sh = ShardFor(id);
-    MutexLock g(sh.mu);
-    sh.map.erase(id);
-    f->page_id = kInvalidPageId;
     f->pin_count.fetch_sub(1, std::memory_order_relaxed);
     return s;
   }
@@ -357,7 +407,7 @@ StatusOr<PageGuard> BufferPool::FixNewPage(PageId id) {
     // Free for the same reason as in FixPage: no pin, no latch holder.
     SPF_CHECK(f->latch.TryLock()) << "victim frame latched without a pin";
   }
-  std::memset(f->data.get(), 0, options_.page_size);
+  std::memset(f->data, 0, options_.page_size);
   return PageGuard(this, index, id, LatchMode::kExclusive);
 }
 
@@ -511,7 +561,7 @@ std::optional<Lsn> BufferPool::CachedPageLsn(PageId id) const {
   // try_lock only: never block a scrub scan on a latch, and never invert
   // the latch-before-mutex order of the fix path (try never waits).
   if (!f->latch.TryLockShared()) return kInvalidLsn;  // in flux
-  Lsn lsn = PageView(f->data.get(), options_.page_size).page_lsn();
+  Lsn lsn = PageView(f->data, options_.page_size).page_lsn();
   f->latch.UnlockShared();
   return lsn;
 }

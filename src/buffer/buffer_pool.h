@@ -65,6 +65,35 @@ class PageRepairer {
   virtual Status RepairPage(PageId id, char* frame) = 0;
 };
 
+/// Redo a page still owes after a system failure (instant restart). The
+/// recovery module's restart plan implements this; the pool consults it
+/// on every miss and applies a page's redo on that page's first load,
+/// under the frame's exclusive latch. Loads of one page never overlap
+/// (a miss reserves the frame before loading), so a page's entry is used
+/// by one thread at a time. Once nothing is owed, a miss pays one atomic
+/// load.
+class PendingRedo {
+ public:
+  virtual ~PendingRedo() = default;
+
+  /// What page `id` owes: nothing, redo on its device image, or redo
+  /// that starts with a format record (the frame is formatted, not read).
+  enum class Owed { kNothing, kRedo, kRedoFromFormat };
+
+  /// True while any page still owes redo.
+  virtual bool Pending() const = 0;
+  /// What page `id` owes right now.
+  virtual Owed Lookup(PageId id) const = 0;
+  /// Applies page `id`'s owed redo to the loaded (or zeroed) image.
+  /// `repaired`: the image came from online repair. Returns the first
+  /// applied LSN, or kInvalidLsn when the image already reflected every
+  /// record. The entry stays owed until Retire.
+  virtual StatusOr<Lsn> Apply(PageId id, PageView page, bool repaired) = 0;
+  /// Retires page `id`'s entry once the frame carries the redo (and is
+  /// marked dirty when any record was applied).
+  virtual void Retire(PageId id) = 0;
+};
+
 /// Invoked after each completed write of a dirty page, before eviction
 /// (Figure 11). The core module logs the PRI update here; a baseline
 /// implementation logs a plain PageWriteCompleted record (section 5.1.2);
@@ -171,7 +200,13 @@ class PageGuard {
 /// Fixed-size page cache over one data device. Thread-safe.
 class BufferPool {
  public:
-  BufferPool(BufferPoolOptions options, SimDevice* device, LogManager* log);
+  /// `frame_memory`, when given, holds num_frames * page_size bytes for
+  /// the frames; the caller owns it and it outlives the pool (the
+  /// database reuses one block across crash rebuilds, so a rebuilt pool
+  /// touches memory that is already mapped). Null: the pool allocates
+  /// its own.
+  BufferPool(BufferPoolOptions options, SimDevice* device, LogManager* log,
+             char* frame_memory = nullptr);
   ~BufferPool();
 
   SPF_DISALLOW_COPY(BufferPool);
@@ -182,6 +217,7 @@ class BufferPool {
   void SetPageRepairer(PageRepairer* r) { repairer_ = r; }
   void SetWriteCompletionListener(WriteCompletionListener* l) { listener_ = l; }
   void SetRestoreAdmission(RestoreAdmission* a) { admission_ = a; }
+  void SetPendingRedo(PendingRedo* r) { pending_redo_ = r; }
 
   /// Fixes page `id` in the pool, reading (and verifying, and if necessary
   /// repairing) it on a miss. Figure 8's retrieval logic.
@@ -246,7 +282,9 @@ class BufferPool {
   friend class PageGuard;
 
   struct Frame {
-    std::unique_ptr<char[]> data;
+    /// page_size bytes of the frame memory block; not initialized until
+    /// the frame's first load or FixNewPage writes it.
+    char* data = nullptr;
     /// Mutated only under victim_mu_ + the owning shard's mutex; stable
     /// while either is held or while the reader holds a pin.
     PageId page_id = kInvalidPageId;
@@ -278,9 +316,15 @@ class BufferPool {
   StatusOr<PageGuard> FinishHit(Frame* f, size_t index, PageId id,
                                 LatchMode mode);
 
-  /// Reads + verifies + (if needed) repairs page `id` into frame `f`.
-  /// No pool mutex may be held (device I/O and repair are slow).
+  /// Fills frame `f` with page `id`: reads, verifies and (if needed)
+  /// repairs the device image, then applies any redo the page still owes
+  /// from a restart. No pool mutex may be held (device I/O and repair
+  /// are slow).
   Status LoadPage(PageId id, Frame* f);
+
+  /// LoadPage's read half: read + verify + repair. `*repaired` tells
+  /// whether online repair produced the image.
+  Status ReadPage(PageId id, Frame* f, bool* repaired);
 
   /// Finds a victim frame with pin_count == 0 (clock); flushes it if
   /// dirty. Returns the frame index with the frame unmapped and reset.
@@ -302,7 +346,11 @@ class BufferPool {
   PageRepairer* repairer_ = nullptr;
   WriteCompletionListener* listener_ = nullptr;
   RestoreAdmission* admission_ = nullptr;
+  PendingRedo* pending_redo_ = nullptr;
 
+  /// The frames' bytes when no frame_memory was given: one block,
+  /// allocated without zero-filling.
+  std::unique_ptr<char[]> own_frame_memory_;
   std::vector<std::unique_ptr<Frame>> frames_;
   mutable std::vector<Shard> shards_;
 

@@ -466,6 +466,26 @@ void ChaosDriver::FireEvent(const ChaosEvent& e) {
       ReleasePause();
       return;
     }
+    case EventKind::kCrashDuringRestart: {
+      RequestPause();
+      // With the restart sweep held, every planned page still owes redo
+      // once the first restart returns. Reading every other seed key
+      // redoes about half of them on load; the second crash then lands
+      // on a half-redone database (and stops the held sweep), and the
+      // second restart must plan the rest again from the old checkpoint.
+      db_->restart_sweep()->Pause();
+      CrashAndRestart();
+      if (!abort_.load()) {
+        for (uint64_t i = 0; i < sched_.seed_records; i += 2) {
+          (void)db_->Get(SeedKey(i));
+        }
+        CrashAndRestart();
+      }
+      db_->restart_sweep()->Resume();
+      if (!abort_.load()) ShadowSweepPaused();
+      ReleasePause();
+      return;
+    }
     case EventKind::kCrashDuringRestore: {
       RequestPause();
       // The whole sequence runs against parked writers: the restore that

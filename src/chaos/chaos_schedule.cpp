@@ -26,6 +26,7 @@ constexpr KindName kKindNames[] = {
     {EventKind::kBackToBackRestore, "back-to-back-restore"},
     {EventKind::kCrash, "crash"},
     {EventKind::kCrashDuringRestore, "crash-during-restore"},
+    {EventKind::kCrashDuringRestart, "crash-during-restart"},
     {EventKind::kRelocate, "relocate"},
     {EventKind::kCheckpoint, "checkpoint"},
     {EventKind::kBackup, "backup"},
@@ -127,8 +128,10 @@ ChaosSchedule GenerateSchedule(uint64_t seed) {
     } else if (roll < 92 && !restore_used) {
       e.kind = EventKind::kBackToBackRestore;
       restore_used = true;
-    } else if (roll < 96) {
+    } else if (roll < 94) {
       e.kind = EventKind::kCrash;
+    } else if (roll < 96) {
+      e.kind = EventKind::kCrashDuringRestart;
     } else {
       e.kind = EventKind::kQuiesce;
     }

@@ -40,6 +40,7 @@ enum class EventKind : uint8_t {
   kBackToBackRestore,  ///< two device failures + restores in a row
   kCrash,           ///< pause writers, SimulateCrash + Restart
   kCrashDuringRestore,  ///< restore fails mid-sweep, then crash, then restore
+  kCrashDuringRestart,  ///< crash again while restart redo is half done
   kRelocate,        ///< retire a page location (paused; NotSupported is ok)
   kCheckpoint,      ///< fuzzy checkpoint under live traffic
   kBackup,          ///< full backup under live traffic

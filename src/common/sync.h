@@ -143,6 +143,7 @@ enum class LockRank : uint16_t {
   kBufferShard = 75,    ///< BufferPool id->frame shard mutexes
   kPri = 80,            ///< PriManager chain state (log appends nest under)
   kPriIndex = 82,       ///< PageRecoveryIndex map (pure data, calls nothing)
+  kRedoPlan = 83,       ///< restart RedoPlan entries (pure data, calls nothing)
   kFunnel = 85,         ///< RecoveryCoordinator entry/queue state
   kArchiveIo = 90,      ///< LogArchiver::io_mu_ (run extents)
   kArchiveDir = 95,     ///< LogArchiver::mu_ (directory + stats)
@@ -174,6 +175,7 @@ inline const char* LockRankName(LockRank r) {
     case LockRank::kBufferShard: return "buffer-shard";
     case LockRank::kPri: return "pri";
     case LockRank::kPriIndex: return "pri-index";
+    case LockRank::kRedoPlan: return "redo-plan";
     case LockRank::kFunnel: return "funnel";
     case LockRank::kArchiveIo: return "archive-io";
     case LockRank::kArchiveDir: return "archive-dir";

@@ -100,16 +100,19 @@ void Database::BuildVolatileState() {
   gc.max_batch_bytes = options_.group_commit_bytes;
   gc.max_wait = options_.group_commit_interval;
   log_ = std::make_unique<LogManager>(wal_.get(), gc);
-  if (master_record_stash_ != kInvalidLsn) {
-    log_->SetMasterRecord(master_record_stash_);
-  }
+  const Lsn master = master_record_stash_.load(std::memory_order_acquire);
+  if (master != kInvalidLsn) log_->SetMasterRecord(master);
 
   BufferPoolOptions bp;
   bp.page_size = options_.page_size;
   bp.num_frames = options_.buffer_frames;
   bp.verify_on_read = options_.verify_on_read;
   bp.table_shards = options_.pool_shards;
-  pool_ = std::make_unique<BufferPool>(bp, data_.get(), log_.get());
+  if (frame_memory_ == nullptr) {
+    frame_memory_.reset(new char[bp.num_frames * bp.page_size]);
+  }
+  pool_ = std::make_unique<BufferPool>(bp, data_.get(), log_.get(),
+                                       frame_memory_.get());
 
   // Restore gate (rung-5 protocol): installed on the pool permanently;
   // inactive (one atomic load per fault) outside full restores. The log
@@ -474,18 +477,33 @@ StatusOr<std::string> Database::Get(std::string_view key) {
 // --- operations -------------------------------------------------------------------
 
 StatusOr<CheckpointStats> Database::Checkpoint() {
+  SPF_RETURN_IF_ERROR(AwaitPendingRedo());
+  return TakeCheckpoint();
+}
+
+StatusOr<CheckpointStats> Database::TakeCheckpoint(Lsn flush_below) {
   Checkpointer ckpt(log_.get(), pool_.get(), txns_.get(), alloc_.get(), &bbl_,
                     options_.tracking == WriteTrackingMode::kPri
                         ? pri_manager_.get()
                         : nullptr);
-  auto stats = ckpt.Take();
+  auto stats = ckpt.Take(flush_below);
   if (stats.ok()) {
-    master_record_stash_ = log_->GetMasterRecord();
+    master_record_stash_.store(log_->GetMasterRecord(),
+                               std::memory_order_release);
   }
   return stats;
 }
 
+Status Database::AwaitPendingRedo() {
+  Status s = restart_sweep_.Wait();
+  if (redo_plan_ == nullptr || !redo_plan_->Pending()) return Status::OK();
+  return s.ok() ? Status::Busy("restart redo still pending") : s;
+}
+
 StatusOr<FullBackupInfo> Database::TakeFullBackup() {
+  // A page still owing restart redo has a device image without it, and
+  // no dirty frame for the flush below to write.
+  SPF_RETURN_IF_ERROR(AwaitPendingRedo());
   // Capture the backup LSN BEFORE the flush: restores replay the log from
   // this point, so every update at or below it must be in the image —
   // which the flush guarantees only for updates that existed when it
@@ -510,6 +528,9 @@ StatusOr<FullBackupInfo> Database::TakeFullBackup() {
 // --- failure & recovery ---------------------------------------------------------------
 
 void Database::SimulateCrash() {
+  // The restart sweep goes first: it holds page fixes and appends log.
+  // What it did not reach is planned again by the next restart.
+  restart_sweep_.Stop();
   // Kill the group-commit drainer FIRST and discard its staged (never
   // published) records: staged bytes are strictly more volatile than the
   // unforced device tail, and a drainer still running would republish
@@ -527,19 +548,37 @@ void Database::SimulateCrash() {
   // All in-memory state vanishes; rebuild empty shells. The master record
   // survives in master_record_stash_ (it models stable storage).
   BuildVolatileState();
+  redo_plan_.reset();
+  restart_stats_ = RestartStats();
 }
 
 StatusOr<RestartStats> Database::Restart() {
+  SPF_RETURN_IF_ERROR(AwaitPendingRedo());
+  PriManager* pri = options_.tracking == WriteTrackingMode::kPri
+                        ? pri_manager_.get()
+                        : nullptr;
+  pool_->SetPendingRedo(nullptr);
+  redo_plan_ = std::make_unique<RedoPlan>(pri);
   RestartRecovery restart(log_.get(), pool_.get(), txns_.get(), tree_.get(),
-                          alloc_.get(), &bbl_,
-                          options_.tracking == WriteTrackingMode::kPri
-                              ? pri_manager_.get()
-                              : nullptr,
-                          &clock_);
-  SPF_ASSIGN_OR_RETURN(RestartStats stats, restart.Run());
+                          alloc_.get(), &bbl_, pri, &clock_);
+  SPF_ASSIGN_OR_RETURN(restart_stats_, restart.Run(redo_plan_.get()));
   // Standard practice: checkpoint at the end of restart so the next crash
-  // does not re-run this recovery.
-  SPF_RETURN_IF_ERROR(Checkpoint().status());
+  // does not re-run this recovery — here once the sweep has redone every
+  // planned page, since a page still owing redo is in no dirty page table.
+  // It flushes what restart dirtied (redo and undo); the pages of
+  // transactions admitted since stay dirty in its dirty page table.
+  const Lsn admitted_at = log_->tail_lsn();
+  restart_sweep_.Start(
+      redo_plan_.get(), pool_.get(), &clock_,
+      [this, admitted_at] { return TakeCheckpoint(admitted_at).status(); });
+  return restart_stats_;
+}
+
+StatusOr<RestartStats> Database::AwaitRestartRedo() {
+  SPF_RETURN_IF_ERROR(restart_sweep_.Wait());
+  RestartStats stats = restart_stats_;
+  if (redo_plan_ != nullptr) redo_plan_->CopyRedoCounts(&stats);
+  stats.redo_sim_seconds = restart_sweep_.redo_sim_seconds();
   return stats;
 }
 
@@ -599,6 +638,11 @@ StatusOr<MediaRecoveryStats> Database::RecoverMedia() {
   if (remaining > 0) doomed = txns_->DoomActiveUserTxns();
   phases.doomed = doomed.size();
   phases.drained = phases.active_at_gate - phases.doomed;
+
+  // Redo a restart still owes is given up, not waited for: the replay
+  // below covers every planned record, and the restart sweep may itself
+  // be parked in the repair ladder that called this restore.
+  if (redo_plan_ != nullptr) redo_plan_->Cancel();
 
   // Phase 3 — segmented restore, publishing progress through the gate;
   // phase 4 — early readmission happens inside the sweep (on_sweep_begin)
@@ -660,7 +704,7 @@ StatusOr<MediaRecoveryStats> Database::RecoverMedia() {
   stats.phases = phases;
   if (funnel_ != nullptr) funnel_->NoteGatedRestore(phases);
 
-  SPF_RETURN_IF_ERROR(Checkpoint().status());
+  SPF_RETURN_IF_ERROR(TakeCheckpoint().status());
   restore_generation_.fetch_add(1, std::memory_order_acq_rel);
   return stats;
 }
@@ -736,6 +780,7 @@ StatusOr<BatchRepairResult> Database::RepairPages(std::vector<PageId> pages) {
 }
 
 Status Database::CheckOffline(uint64_t* pages_checked) {
+  SPF_RETURN_IF_ERROR(AwaitPendingRedo());
   // Read each allocated page once, directly from the device (section 4.1:
   // scalable offline algorithms read each page only once).
   PageBuffer buf(options_.page_size);

@@ -18,7 +18,8 @@
 // Crash testing:
 //
 //   db->SimulateCrash();       // loses buffer pool + unforced log tail
-//   db->Restart();             // ARIES analysis / redo / undo
+//   db->Restart();             // analysis + undo; redo runs page by page
+//   db->AwaitRestartRedo();    // optional: every page redone
 //
 // The v1 raw-pointer entry points (Begin() -> Transaction*, Commit(txn),
 // Insert(txn, ...)) are gone: the one-release deprecation window closed
@@ -30,6 +31,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -43,6 +45,7 @@
 #include "core/recovery_scheduler.h"
 #include "core/scrubber.h"
 #include "core/single_page_recovery.h"
+#include "db/restart_sweep.h"
 #include "db/session.h"
 #include "db/stats_snapshot.h"
 #include "db/txn_error.h"
@@ -258,10 +261,13 @@ class Database {
   // --- operations ---------------------------------------------------------------
 
   /// Takes a fuzzy checkpoint (dirty pages, dirty PRI windows, active
-  /// transactions, allocator + bad-block snapshots; master record).
+  /// transactions, allocator + bad-block snapshots; master record). Waits
+  /// first for a restart's pending redo: a page that still owes redo is
+  /// in no dirty page table, so the new master record would skip it.
   StatusOr<CheckpointStats> Checkpoint();
   /// Flushes everything and takes a full backup (media recovery baseline +
-  /// PRI range compression).
+  /// PRI range compression). Waits first for a restart's pending redo,
+  /// which a pending page's device image lacks.
   StatusOr<FullBackupInfo> TakeFullBackup();
   /// Writes every dirty buffered page back to the device.
   Status FlushAll() { return pool_->FlushAll(); }
@@ -271,12 +277,28 @@ class Database {
   /// Simulated system failure: the buffer pool and all in-memory state
   /// vanish; the unforced log tail is lost. Outstanding Txn handles are
   /// doomed (every operation returns kDoomed; restart undo — not the
-  /// handle — owns the rollback) and should be dropped. Follow with
-  /// Restart().
+  /// handle — owns the rollback) and should be dropped. A restart sweep
+  /// still running is stopped: the next restart plans its pages again.
+  /// Follow with Restart().
   void SimulateCrash();
 
-  /// ARIES restart recovery (analysis / redo / undo) + a fresh checkpoint.
+  /// Instant restart after a system failure. Runs ARIES analysis, which
+  /// also builds the redo plan (each page's records from its recLSN on),
+  /// installs the plan in the buffer pool and undoes the losers, then
+  /// admits transactions. From then on a page is redone by whichever
+  /// thread loads it first, and a background sweep redoes the rest in
+  /// page order before it takes the end-of-restart checkpoint.
+  /// Waits first for a previous restart's sweep.
+  /// @return analysis and undo counts and the plan's size; the redo
+  ///         counts are zero here (see AwaitRestartRedo).
   StatusOr<RestartStats> Restart();
+
+  /// Blocks until the last Restart()'s sweep has redone every planned
+  /// page and taken the end-of-restart checkpoint.
+  /// @return that restart's stats with the redo counts filled in, or the
+  ///         first error the sweep met (a failed page load, or the
+  ///         checkpoint's). Returns zeroed stats when no restart ran.
+  StatusOr<RestartStats> AwaitRestartRedo();
 
   /// Full media recovery under the restore-gate protocol (rung 5 of the
   /// ladder, live-traffic safe): (1) gate — new transactions park at the
@@ -327,7 +349,7 @@ class Database {
   /// Offline verification utility (section 2 DBCC analog): reads every
   /// allocated page once directly from the device, verifies in-page
   /// invariants, then checks all B-tree invariants. Read-only; returns
-  /// the first violation.
+  /// the first violation. Waits first for a restart's pending redo.
   Status CheckOffline(uint64_t* pages_checked);
 
   // --- introspection (benches, tests, examples) -----------------------------------
@@ -358,6 +380,9 @@ class Database {
   /// Restore-progress gate of the rung-5 protocol (always wired; active
   /// only while a full restore sweep runs).
   RestoreGate* restore_gate() { return restore_gate_.get(); }
+  /// Background redo sweep of instant restart (tests hold it with
+  /// Pause/Resume).
+  RestartSweep* restart_sweep() { return &restart_sweep_; }
 
   /// True when the self-healing read path is wired (PRI tracking +
   /// single-page repair): a single-page-failure candidate surfacing to a
@@ -426,6 +451,15 @@ class Database {
 
   Status Bootstrap();  // format meta page, create tree, first checkpoint
 
+  /// Checkpoint without waiting for restart redo: the sweep's own
+  /// end-of-restart checkpoint, and full restore's, whose replay covers
+  /// every planned record. Flushes the dirty pages whose recLSN lies
+  /// below `flush_below` (Checkpointer::Take).
+  StatusOr<CheckpointStats> TakeCheckpoint(
+      Lsn flush_below = std::numeric_limits<Lsn>::max());
+  /// Waits for the restart sweep; an error when redo is still owed.
+  Status AwaitPendingRedo();
+
   /// Runs the deferred compensating rollback of a doomed straggler on
   /// the owner's thread, if this transaction still needs one (one-shot
   /// claim — never races the restore's own rollback phase). Called from
@@ -453,6 +487,11 @@ class Database {
   std::unique_ptr<SimDevice> archive_dev_;  ///< sorted-run archive volume
   std::unique_ptr<SimLogDevice> wal_;
   BadBlockList bbl_;
+
+  // The buffer pool's frame bytes. A crash loses their contents, not the
+  // memory: every rebuilt pool reuses this block, so it is allocated and
+  // mapped once instead of once per crash.
+  std::unique_ptr<char[]> frame_memory_;
 
   // Volatile: rebuilt by SimulateCrash + Restart.
   std::unique_ptr<LogManager> log_;
@@ -484,7 +523,16 @@ class Database {
   // restore skip re-restoring a healthy device.
   OrderedMutex recover_media_mu_{LockRank::kRecoverMedia};
   std::atomic<uint64_t> restore_generation_{0};
-  Lsn master_record_stash_ = kInvalidLsn;  // survives crash (stable storage)
+  // Survives crash (stable storage). Atomic: the restart sweep's
+  // checkpoint can overlap full restore's.
+  std::atomic<Lsn> master_record_stash_{kInvalidLsn};
+
+  // Instant restart: the last Restart()'s plan (installed in pool_) and
+  // stats, and the sweep that finishes the plan. The sweep is declared
+  // last so it stops before anything it uses is destroyed.
+  std::unique_ptr<RedoPlan> redo_plan_;
+  RestartStats restart_stats_;
+  RestartSweep restart_sweep_;
 };
 
 }  // namespace spf

@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -54,7 +55,13 @@ class Checkpointer {
         bbl_(bbl),
         pri_manager_(pri_manager) {}
 
-  StatusOr<CheckpointStats> Take();
+  /// Takes one checkpoint. Only dirty pages whose recLSN lies below
+  /// `flush_below` are flushed; every dirty page still lands in the end
+  /// record's dirty page table. The end-of-restart checkpoint passes the
+  /// log tail at admission, so it flushes what redo dirtied and leaves
+  /// the pages of transactions admitted since to the next checkpoint.
+  StatusOr<CheckpointStats> Take(
+      Lsn flush_below = std::numeric_limits<Lsn>::max());
 
  private:
   LogManager* const log_;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "btree/btree_log.h"
+#include "recovery/page_redo.h"
 
 namespace spf {
 
@@ -52,40 +52,12 @@ Status MediaRecovery::RestoreSegment(
     PageView page(frames[i], page_size);
     Lsn format_lsn = kInvalidLsn;
     Lsn final_lsn = kInvalidLsn;
-    bool modified = false;
-
-    auto apply_one = [&](const LogRecord& rec) -> Status {
-      if (page.page_lsn() >= rec.lsn) {
-        // Image already reflects this record (also makes a re-served
-        // segment idempotent).
-        stats->redo_skipped++;
-        return Status::OK();
-      }
-      if (rec.type == LogRecordType::kPageFormat) {
-        // Pages born after the backup: the format record is the backup
-        // (section 5.2.1) — rebuild from scratch by redo.
-        page.Format(pid, PageType::kRaw);
-        format_lsn = rec.lsn;
-      }
-      SPF_RETURN_IF_ERROR(btree_log::RedoBTreeRecord(rec, page));
-      page.set_page_lsn(rec.lsn);
-      // Match the live path's per-record bump so the replayed image is
-      // byte-identical to the lost one.
-      page.bump_update_count();
-      modified = true;
-      final_lsn = rec.lsn;
-      stats->redo_applied++;
-      return Status::OK();
-    };
 
     // Archived records first (all strictly below tail_plan_start), then
     // the unarchived tail plan — one globally ascending redo pass.
+    std::vector<LogRecord> records;
     auto ait = archived.find(pid);
-    if (ait != archived.end()) {
-      for (const LogRecord& rec : ait->second) {
-        SPF_RETURN_IF_ERROR(apply_one(rec));
-      }
-    }
+    if (ait != archived.end()) records = std::move(ait->second);
     auto pit = plan.find(pid);
     if (pit != plan.end()) {
       for (Lsn lsn : pit->second) {
@@ -93,10 +65,24 @@ Status MediaRecovery::RestoreSegment(
         // remainder stays random-log-read bound like the paper's
         // baseline, and the plan itself holds only LSNs, not payloads.
         SPF_ASSIGN_OR_RETURN(LogRecord rec, log_->Read(lsn));
-        SPF_RETURN_IF_ERROR(apply_one(rec));
+        records.push_back(std::move(rec));
       }
     }
-    if (modified) page.UpdateChecksum();
+    for (const LogRecord& rec : records) {
+      SPF_ASSIGN_OR_RETURN(bool applied, ApplyPageRedo(rec, page));
+      if (!applied) {
+        // Image already reflects this record (also makes a re-served
+        // segment idempotent).
+        stats->redo_skipped++;
+        continue;
+      }
+      // Pages born after the backup: the format record is the backup
+      // (section 5.2.1).
+      if (rec.type == LogRecordType::kPageFormat) format_lsn = rec.lsn;
+      final_lsn = rec.lsn;
+      stats->redo_applied++;
+    }
+    if (final_lsn != kInvalidLsn) page.UpdateChecksum();
     SPF_RETURN_IF_ERROR(data_->WritePage(pid, frames[i]));
     stats->pages_restored++;
     if (pri_manager_ != nullptr) {

@@ -1,34 +1,107 @@
 #include "recovery/restart_recovery.h"
 
+#include <algorithm>
 #include <unordered_set>
 
-#include "btree/btree_log.h"
 #include "common/coding.h"
+#include "recovery/page_redo.h"
 
 namespace spf {
 
-bool RestartRecovery::IsPageRedoType(LogRecordType type) {
-  switch (type) {
-    case LogRecordType::kPageFormat:
-    case LogRecordType::kBTreeInsert:
-    case LogRecordType::kBTreeMarkGhost:
-    case LogRecordType::kBTreeUpdate:
-    case LogRecordType::kBTreeReclaimGhost:
-    case LogRecordType::kBTreeSplit:
-    case LogRecordType::kBTreeAdopt:
-    case LogRecordType::kBTreeGrowRoot:
-    case LogRecordType::kPageMigrate:
-    case LogRecordType::kCompensation:
-      return true;
-    default:
-      return false;
+PendingRedo::Owed RedoPlan::Lookup(PageId id) const {
+  MutexLock g(mu_);
+  if (cancelled_) return Owed::kNothing;
+  auto it = entries_.find(id);
+  if (it == entries_.end()) return Owed::kNothing;
+  return planned_[it->second.first].type == LogRecordType::kPageFormat
+             ? Owed::kRedoFromFormat
+             : Owed::kRedo;
+}
+
+StatusOr<Lsn> RedoPlan::Apply(PageId id, PageView page, bool repaired) {
+  std::pair<size_t, size_t> range;
+  {
+    MutexLock g(mu_);
+    auto it = entries_.find(id);
+    if (it == entries_.end()) return kInvalidLsn;
+    range = it->second;
+  }
+  if (planned_[range.first].type != LogRecordType::kPageFormat) {
+    page_reads_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (repaired) repaired_.fetch_add(1, std::memory_order_relaxed);
+  Lsn first_applied = kInvalidLsn;
+  uint64_t applied = 0, skipped = 0;
+  for (size_t i = range.first; i < range.second; ++i) {
+    const Planned& p = planned_[i];
+    SPF_ASSIGN_OR_RETURN(
+        LogRecord rec,
+        ParseLogRecord(std::string_view(arena_.data() + p.offset, p.size)));
+    rec.lsn = p.lsn;
+    const Lsn image_lsn = page.page_lsn();
+    SPF_ASSIGN_OR_RETURN(bool done, ApplyPageRedo(rec, page));
+    if (done) {
+      if (first_applied == kInvalidLsn) first_applied = rec.lsn;
+      applied++;
+      continue;
+    }
+    // Figure 12, third row: the page reflects the update although
+    // analysis saw no certification that raised the recLSN past it —
+    // the write completed but its PRI update was lost. Generate it.
+    if (pri_manager_ != nullptr && skipped == 0) {
+      pri_manager_->RecordLostWrite(id, image_lsn);
+      lost_pri_updates_.fetch_add(1, std::memory_order_relaxed);
+    }
+    skipped++;
+  }
+  applied_.fetch_add(applied, std::memory_order_relaxed);
+  skipped_by_page_lsn_.fetch_add(skipped, std::memory_order_relaxed);
+  return first_applied;
+}
+
+void RedoPlan::Retire(PageId id) {
+  MutexLock g(mu_);
+  if (entries_.erase(id) > 0 && !cancelled_) {
+    pending_.fetch_sub(1, std::memory_order_release);
   }
 }
 
-StatusOr<RestartStats> RestartRecovery::Run() {
+PageId RedoPlan::NextOwed(PageId from) const {
+  MutexLock g(mu_);
+  if (cancelled_) return kInvalidPageId;
+  auto it = entries_.lower_bound(from);
+  return it == entries_.end() ? kInvalidPageId : it->first;
+}
+
+void RedoPlan::Cancel() {
+  MutexLock g(mu_);
+  cancelled_ = true;
+  pending_.store(0, std::memory_order_release);
+}
+
+void RedoPlan::CopyRedoCounts(RestartStats* stats) const {
+  stats->redo_applied = applied_.load(std::memory_order_relaxed);
+  stats->redo_skipped_by_page_lsn =
+      skipped_by_page_lsn_.load(std::memory_order_relaxed);
+  stats->redo_page_reads = page_reads_.load(std::memory_order_relaxed);
+  stats->lost_pri_updates_regenerated =
+      lost_pri_updates_.load(std::memory_order_relaxed);
+  stats->pages_repaired_during_redo = repaired_.load(std::memory_order_relaxed);
+}
+
+void RestartRecovery::Keep(const LogRecord& rec, std::string_view raw,
+                           RedoPlan* plan) {
+  kept_.push_back({rec.page_id,
+                   {rec.lsn, plan->arena_.size(),
+                    static_cast<uint32_t>(raw.size()), rec.type}});
+  plan->arena_.append(raw);
+}
+
+StatusOr<RestartStats> RestartRecovery::Run(RedoPlan* plan) {
   RestartStats stats;
   dpt_.clear();
   losers_.clear();
+  kept_.clear();
   redo_scan_floor_ = kInvalidLsn;
 
   // The PRI must be available before redo so that single-page failures
@@ -40,14 +113,13 @@ StatusOr<RestartStats> RestartRecovery::Run() {
 
   {
     SimTimer t(clock_);
-    SPF_RETURN_IF_ERROR(Analysis(&stats));
+    SPF_RETURN_IF_ERROR(Analysis(plan, &stats));
+    SPF_RETURN_IF_ERROR(BuildPlan(plan, &stats));
     stats.analysis_sim_seconds = t.ElapsedSeconds();
   }
-  {
-    SimTimer t(clock_);
-    SPF_RETURN_IF_ERROR(Redo(&stats));
-    stats.redo_sim_seconds = t.ElapsedSeconds();
-  }
+  // From here on every page load applies the page's planned redo first —
+  // undo's own fixes included.
+  pool_->SetPendingRedo(plan);
   {
     SimTimer t(clock_);
     SPF_RETURN_IF_ERROR(Undo(&stats));
@@ -56,7 +128,7 @@ StatusOr<RestartStats> RestartRecovery::Run() {
   return stats;
 }
 
-Status RestartRecovery::Analysis(RestartStats* stats) {
+Status RestartRecovery::Analysis(RedoPlan* plan, RestartStats* stats) {
   Lsn start = log_->GetMasterRecord();
   if (start == kInvalidLsn) start = log_->first_lsn();
   stats->analysis_start = start;
@@ -72,6 +144,9 @@ Status RestartRecovery::Analysis(RestartStats* stats) {
   for (auto it = log_->Scan(start); it.Valid(); it.Next()) {
     const LogRecord& rec = it.record();
     stats->analysis_records++;
+    if (IsPageReplayRecord(rec.type) && rec.page_id != kInvalidPageId) {
+      Keep(rec, it.raw(), plan);
+    }
 
     // Loser tracking (user transactions only; system transactions are
     // redo-only and never undone — see docs/ARCHITECTURE.md, "System
@@ -184,7 +259,7 @@ Status RestartRecovery::Analysis(RestartStats* stats) {
         bbl_->Add(rec.page_id);
         break;
       default:
-        if (IsPageRedoType(rec.type) && rec.page_id != kInvalidPageId) {
+        if (IsPageReplayRecord(rec.type) && rec.page_id != kInvalidPageId) {
           if (dpt_.find(rec.page_id) == dpt_.end()) {
             dpt_[rec.page_id] = rec.lsn;
             if (redo_scan_floor_ == kInvalidLsn ||
@@ -201,82 +276,62 @@ Status RestartRecovery::Analysis(RestartStats* stats) {
   return Status::OK();
 }
 
-Status RestartRecovery::Redo(RestartStats* stats) {
-  if (dpt_.empty()) return Status::OK();
-  // The scan must start at a record boundary that is <= every record any
-  // DPT entry still demands. Raised (certified) recLSNs are mid-record
-  // markers used only for per-record filtering below; the floor tracks
-  // the boundary minimum.
-  Lsn redo_start = redo_scan_floor_;
-  if (redo_start == kInvalidLsn || redo_start >= log_->tail_lsn()) {
-    return Status::OK();
+Status RestartRecovery::BuildPlan(RedoPlan* plan, RestartStats* stats) {
+  if (dpt_.empty() || redo_scan_floor_ == kInvalidLsn ||
+      redo_scan_floor_ >= log_->tail_lsn()) {
+    kept_.clear();
   }
-  if (redo_start < log_->first_lsn()) redo_start = log_->first_lsn();
-
-  BufferPoolStats pool_before = pool_->stats();
-  std::set<PageId> lost_updates_regenerated;
-
-  for (auto it = log_->Scan(redo_start); it.Valid(); it.Next()) {
-    const LogRecord& rec = it.record();
-    if (!IsPageRedoType(rec.type) || rec.page_id == kInvalidPageId) continue;
-    stats->redo_records_considered++;
-
-    auto dpt_it = dpt_.find(rec.page_id);
-    if (dpt_it == dpt_.end() || rec.lsn < dpt_it->second) {
-      // The write-certification optimization (Figure 4): no page read at
-      // all for this record.
-      stats->redo_skipped_by_dpt++;
-      continue;
+  // Redo starts at the floor, a record boundary at or below every record
+  // a DPT entry still demands. Raised (certified) recLSNs are mid-record
+  // markers used only to cut the per-page lists below.
+  const Lsn floor = std::max(redo_scan_floor_, log_->first_lsn());
+  if (!kept_.empty() && floor < stats->analysis_start) {
+    // A checkpoint's DPT can reach below the checkpoint itself: read the
+    // older records the analysis scan started after.
+    for (auto it = log_->Scan(floor, stats->analysis_start); it.Valid();
+         it.Next()) {
+      const LogRecord& rec = it.record();
+      if (IsPageReplayRecord(rec.type) && rec.page_id != kInvalidPageId) {
+        Keep(rec, it.raw(), plan);
+      }
     }
+  }
+  // Each page's records, in LSN order.
+  std::sort(kept_.begin(), kept_.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first : a.second.lsn < b.second.lsn;
+  });
 
-    // Fix the page. Formats rebuild the frame without a device read; any
-    // other record reads (and, if necessary, repairs) the current image.
-    PageGuard guard;
-    if (rec.type == LogRecordType::kPageFormat && !pool_->IsCached(rec.page_id)) {
-      SPF_ASSIGN_OR_RETURN(guard, pool_->FixNewPage(rec.page_id));
+  // Cut each page's list at its final recLSN — the write-certification
+  // optimization (Figure 4): records below it need no page read at all.
+  std::map<PageId, std::pair<size_t, size_t>> entries;
+  for (size_t i = 0; i < kept_.size();) {
+    const PageId page = kept_[i].first;
+    size_t end = i;
+    while (end < kept_.size() && kept_[end].first == page) end++;
+    while (i < end && kept_[i].second.lsn < floor) i++;
+    stats->redo_records_considered += end - i;
+    auto dpt_it = dpt_.find(page);
+    // A page still cached (a restart without a crash) is current.
+    if (dpt_it != dpt_.end() && !pool_->IsCached(page)) {
+      const size_t first = i;
+      while (i < end && kept_[i].second.lsn < dpt_it->second) i++;
+      stats->redo_skipped_by_dpt += i - first;
+      if (i < end) {
+        entries.emplace_hint(entries.end(), page,
+                             std::make_pair(plan->planned_.size(),
+                                            plan->planned_.size() + end - i));
+        for (; i < end; ++i) plan->planned_.push_back(kept_[i].second);
+      }
     } else {
-      SPF_ASSIGN_OR_RETURN(guard,
-                           pool_->FixPage(rec.page_id, LatchMode::kExclusive));
+      stats->redo_skipped_by_dpt += end - i;
     }
-
-    PageView page = guard.view();
-    if (rec.type != LogRecordType::kPageFormat &&
-        page.page_lsn() >= rec.lsn) {
-      stats->redo_skipped_by_page_lsn++;
-      // Figure 12, third row: the page reflects the update although
-      // analysis saw no certification that raised the recLSN past it —
-      // the write completed but its PRI update was lost. Generate it.
-      if (pri_manager_ != nullptr &&
-          lost_updates_regenerated.insert(rec.page_id).second) {
-        pri_manager_->RecordLostWrite(rec.page_id, page.page_lsn());
-        stats->lost_pri_updates_regenerated++;
-      }
-      continue;
-    }
-    if (rec.type != LogRecordType::kPageFormat) {
-      // Defensive redo-sequence check (section 5.1.4): the per-page chain
-      // pointer must match the PageLSN about to be overwritten.
-      if (rec.page_prev_lsn != page.page_lsn()) {
-        return Status::Corruption(
-            "redo sequence check failed on page " +
-            std::to_string(rec.page_id) + ": PageLSN " +
-            std::to_string(page.page_lsn()) + ", record expects " +
-            std::to_string(rec.page_prev_lsn));
-      }
-    }
-    guard.MarkDirtyForRedo(rec.lsn);
-    SPF_RETURN_IF_ERROR(btree_log::RedoBTreeRecord(rec, page));
-    page.set_page_lsn(rec.lsn);
-    // Match the live path's per-record bump so the redone image is
-    // byte-identical to the pre-crash one.
-    page.bump_update_count();
-    stats->redo_applied++;
+    i = end;
   }
-
-  BufferPoolStats pool_after = pool_->stats();
-  stats->redo_page_reads = pool_after.misses - pool_before.misses;
-  stats->pages_repaired_during_redo =
-      pool_after.repairs_succeeded - pool_before.repairs_succeeded;
+  kept_.clear();
+  stats->redo_plan_pages = entries.size();
+  MutexLock g(plan->mu_);
+  plan->entries_ = std::move(entries);
+  plan->pending_.store(plan->entries_.size(), std::memory_order_release);
   return Status::OK();
 }
 

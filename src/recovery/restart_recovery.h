@@ -1,6 +1,8 @@
 // ARIES-style restart recovery after a system failure (paper section
 // 5.1.2), extended with the page-recovery-index interplay of section 5.2.5
-// / Figure 12:
+// / Figure 12, and run as an INSTANT restart: transactions are admitted
+// once analysis and loser undo are done, and each page's redo runs when
+// the page is first loaded.
 //
 //   Analysis  — from the last checkpoint: rebuilds the dirty page table
 //               (DPT), the loser transaction table, the allocator, and the
@@ -9,26 +11,34 @@
 //               requirement for records at or below the certified PageLSN —
 //               the optimization that spares redo its random reads
 //               (Figure 4). PriUpdate records are simultaneously applied to
-//               the in-memory PRI.
-//   Redo      — physical, page-oriented; reads only pages whose DPT entry
-//               demands it, decides by PageLSN, and verifies the per-page
-//               chain pointer before every application (defensive check of
-//               section 5.1.4). If a page already reflects an update whose
-//               PriUpdate record is missing, the write completed but its
-//               PRI update was lost: restart generates the missing record
-//               (Figure 12, third row). A page that fails verification
-//               during redo is repaired online by single-page recovery —
-//               the PRI was loaded before redo began (section 5.2.5).
+//               the in-memory PRI. The scan keeps each page's redo records;
+//               cut at the page's final recLSN they form the RedoPlan.
+//   Redo      — physical, per page, from the plan: the buffer pool applies a
+//               page's planned records on its first load (PendingRedo),
+//               deciding by PageLSN and verifying the per-page chain pointer
+//               before every application (defensive check of section
+//               5.1.4). If a page already reflects an update whose PriUpdate
+//               record is missing, the write completed but its PRI update
+//               was lost: redo generates the missing record (Figure 12,
+//               third row). A page that fails verification on that load is
+//               repaired online by single-page recovery — the PRI was loaded
+//               before analysis (section 5.2.5). The database's background
+//               sweep loads the pages nobody else touches.
 //   Undo      — logical compensation of loser transactions via the shared
-//               rollback executor.
+//               rollback executor; its page fixes redo on load like any
+//               other.
 
 #pragma once
 
+#include <atomic>
 #include <map>
-#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "btree/btree.h"
 #include "buffer/buffer_pool.h"
+#include "common/sync.h"
 #include "core/pri_manager.h"
 #include "log/log_manager.h"
 #include "recovery/checkpoint.h"
@@ -45,19 +55,92 @@ struct RestartStats {
   uint64_t write_certifications_seen = 0;  ///< PriUpdate/WriteCompleted
   uint64_t losers = 0;
 
+  // The redo plan, known when Restart() returns.
+  uint64_t redo_plan_pages = 0;            ///< pages owing redo
   uint64_t redo_records_considered = 0;
-  uint64_t redo_applied = 0;
   uint64_t redo_skipped_by_dpt = 0;        ///< never read the page (Fig. 4 win)
+
+  // Redo itself, known once every planned page is redone
+  // (Database::AwaitRestartRedo).
+  uint64_t redo_applied = 0;
   uint64_t redo_skipped_by_page_lsn = 0;   ///< read, found already applied
-  uint64_t redo_page_reads = 0;            ///< buffer faults during redo
+  uint64_t redo_page_reads = 0;            ///< planned pages read from disk
   uint64_t lost_pri_updates_regenerated = 0;  ///< Figure 12 third row
   uint64_t pages_repaired_during_redo = 0;
 
   uint64_t undo_records = 0;
 
   double analysis_sim_seconds = 0;
-  double redo_sim_seconds = 0;
+  double redo_sim_seconds = 0;  ///< the background sweep, first page to last
   double undo_sim_seconds = 0;
+};
+
+/// The redo every page still owes after analysis: per page, the
+/// page-redo records at or above the page's final recLSN, in LSN order.
+/// Installed in the buffer pool, it is applied page by page on first load;
+/// the database's sweep loads the pages nobody else touches, in page
+/// order. Thread-safe.
+///
+/// The records are kept as their log bytes, copied once into one arena
+/// while analysis reads them; a page's load parses its own.
+class RedoPlan : public PendingRedo {
+ public:
+  /// `pri_manager` (may be null) receives the Figure 12 regenerations.
+  explicit RedoPlan(PriManager* pri_manager) : pri_manager_(pri_manager) {}
+
+  bool Pending() const override {
+    return pending_.load(std::memory_order_acquire) > 0;
+  }
+  Owed Lookup(PageId id) const override;
+  StatusOr<Lsn> Apply(PageId id, PageView page, bool repaired) override;
+  void Retire(PageId id) override;
+
+  /// Lowest page id at or above `from` that still owes redo, or
+  /// kInvalidPageId when none does.
+  PageId NextOwed(PageId from) const;
+
+  /// Gives up every entry not yet retired: a full media restore replays
+  /// the log from its backup, which covers every planned record. A load
+  /// already applying an entry finishes it.
+  void Cancel();
+
+  /// Copies the redo counters (applied, skipped, reads, regenerations,
+  /// repairs) into `stats`.
+  void CopyRedoCounts(RestartStats* stats) const;
+
+ private:
+  friend class RestartRecovery;  // fills the plan during analysis
+
+  /// One record a page owes: its LSN and its log bytes in arena_.
+  struct Planned {
+    Lsn lsn;
+    uint64_t offset;
+    uint32_t size;
+    LogRecordType type;
+  };
+
+  PriManager* const pri_manager_;
+
+  // Written by RestartRecovery before the plan is installed, read-only
+  // afterwards.
+  std::string arena_;
+  std::vector<Planned> planned_;  ///< grouped by page, each in LSN order
+
+  mutable OrderedMutex mu_{LockRank::kRedoPlan};
+  /// Page -> its records' range in planned_. Entries stay until retired,
+  /// also after Cancel: a load that looked a page up before the cancel
+  /// still applies its records. Only the page's own loader erases an
+  /// entry, so a loader may use its range outside mu_.
+  std::map<PageId, std::pair<size_t, size_t>> entries_ SPF_GUARDED_BY(mu_);
+  bool cancelled_ SPF_GUARDED_BY(mu_) = false;
+  /// Entries neither retired nor cancelled.
+  std::atomic<size_t> pending_{0};
+
+  std::atomic<uint64_t> applied_{0};
+  std::atomic<uint64_t> skipped_by_page_lsn_{0};
+  std::atomic<uint64_t> page_reads_{0};
+  std::atomic<uint64_t> lost_pri_updates_{0};
+  std::atomic<uint64_t> repaired_{0};
 };
 
 class RestartRecovery {
@@ -76,9 +159,11 @@ class RestartRecovery {
         pri_manager_(pri_manager),
         clock_(clock) {}
 
-  /// Runs the three passes. On success the database is consistent:
-  /// committed effects present, loser effects compensated.
-  StatusOr<RestartStats> Run();
+  /// Runs analysis, fills `plan` and installs it in the buffer pool, then
+  /// undoes the losers. On success committed effects are present and
+  /// loser effects compensated, once every page has been loaded; the
+  /// redo counters are left to the plan.
+  StatusOr<RestartStats> Run(RedoPlan* plan);
 
  private:
   struct LoserInfo {
@@ -86,11 +171,11 @@ class RestartRecovery {
     Lsn undo_next = kInvalidLsn;
   };
 
-  Status Analysis(RestartStats* stats);
-  Status Redo(RestartStats* stats);
+  Status Analysis(RedoPlan* plan, RestartStats* stats);
+  /// Cuts each page's records at its final recLSN into `plan`, first
+  /// scanning [redo floor, analysis start) when the floor lies lower.
+  Status BuildPlan(RedoPlan* plan, RestartStats* stats);
   Status Undo(RestartStats* stats);
-
-  static bool IsPageRedoType(LogRecordType type);
 
   LogManager* const log_;
   BufferPool* const pool_;
@@ -101,8 +186,14 @@ class RestartRecovery {
   PriManager* const pri_manager_;
   SimClock* const clock_;
 
+  /// Copies a page-redo record's log bytes into the plan's arena.
+  void Keep(const LogRecord& rec, std::string_view raw, RedoPlan* plan);
+
   std::map<PageId, Lsn> dpt_;  // page -> recLSN
   std::map<TxnId, LoserInfo> losers_;
+  /// Every page-redo record the scans read, in scan order; its bytes are
+  /// in the plan's arena.
+  std::vector<std::pair<PageId, RedoPlan::Planned>> kept_;
   /// Lowest RECORD-BOUNDARY LSN ever inserted into the DPT. Write
   /// certifications raise individual recLSNs to certified+1, which is not
   /// a record boundary and therefore must never be used as a scan start;

@@ -42,6 +42,7 @@ EVENT_KINDS = [
     "back-to-back-restore",
     "crash",
     "crash-during-restore",
+    "crash-during-restart",
     "relocate",
     "checkpoint",
     "backup",
