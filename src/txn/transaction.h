@@ -41,7 +41,7 @@ class Transaction {
   bool is_system() const { return system_; }
   TxnState state() const { return state_; }
   Lsn first_lsn() const { return first_lsn_; }
-  Lsn last_lsn() const { return last_lsn_; }
+  Lsn last_lsn() const { return last_lsn_.load(std::memory_order_relaxed); }
 
   /// During rollback: the next record to undo. Starts at last_lsn and is
   /// moved backward by compensation records' undo_next_lsn.
@@ -158,7 +158,7 @@ class Transaction {
   /// Restart-recovery hook: re-anchors the chain head of a loser
   /// transaction reconstructed during log analysis, without logging.
   void RestoreChain(Lsn last_lsn) {
-    last_lsn_ = last_lsn;
+    last_lsn_.store(last_lsn, std::memory_order_relaxed);
     if (first_lsn_ == kInvalidLsn) first_lsn_ = last_lsn;
   }
 
@@ -170,12 +170,12 @@ class Transaction {
   void Stamp(LogRecord* rec) {
     SPF_CHECK(state_ == TxnState::kActive) << "logging on finished txn";
     rec->txn_id = id_;
-    rec->prev_lsn = last_lsn_;
+    rec->prev_lsn = last_lsn();
     if (system_) rec->flags |= kLogFlagSystemTxn;
   }
   void Advance(Lsn lsn) {
     if (first_lsn_ == kInvalidLsn) first_lsn_ = lsn;
-    last_lsn_ = lsn;
+    last_lsn_.store(lsn, std::memory_order_relaxed);
     undo_next_lsn_ = lsn;
   }
 
@@ -194,7 +194,9 @@ class Transaction {
   std::atomic<uint32_t> ops_in_flight_{0};
   TxnState state_ = TxnState::kActive;
   Lsn first_lsn_ = kInvalidLsn;
-  Lsn last_lsn_ = kInvalidLsn;
+  /// Written only by the owner; atomic because a checkpoint's
+  /// transaction-table snapshot reads it while the owner logs.
+  std::atomic<Lsn> last_lsn_{kInvalidLsn};
   Lsn undo_next_lsn_ = kInvalidLsn;
   std::unordered_set<std::string> locked_keys_;
 };
