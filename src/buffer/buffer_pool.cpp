@@ -76,13 +76,6 @@ BufferPool::BufferPool(BufferPoolOptions options, SimDevice* device,
       shards_(options.table_shards == 0 ? 1 : options.table_shards) {
   SPF_CHECK_EQ(options_.page_size, device->page_size());
   SPF_CHECK_GT(options_.num_frames, 1u);
-  // Default-initialized: the allocator hands back untouched (lazily
-  // zeroed) memory, so a pool costs only the frames it ever loads. No
-  // frame is read before LoadPage or FixNewPage writes it.
-  if (frame_memory == nullptr) {
-    own_frame_memory_.reset(new char[options_.num_frames * options_.page_size]);
-    frame_memory = own_frame_memory_.get();
-  }
   frames_.reserve(options_.num_frames);
   for (size_t i = 0; i < options_.num_frames; ++i) {
     auto f = std::make_unique<Frame>();

@@ -200,13 +200,12 @@ class PageGuard {
 /// Fixed-size page cache over one data device. Thread-safe.
 class BufferPool {
  public:
-  /// `frame_memory`, when given, holds num_frames * page_size bytes for
-  /// the frames; the caller owns it and it outlives the pool (the
-  /// database reuses one block across crash rebuilds, so a rebuilt pool
-  /// touches memory that is already mapped). Null: the pool allocates
-  /// its own.
+  /// `frame_memory` holds the frames' bytes, num_frames * page_size of
+  /// them; the caller owns it, and it outlives the pool. No frame is read
+  /// before a load or FixNewPage writes it, so the block may hold
+  /// anything, such as a crashed pool's frames.
   BufferPool(BufferPoolOptions options, SimDevice* device, LogManager* log,
-             char* frame_memory = nullptr);
+             char* frame_memory);
   ~BufferPool();
 
   SPF_DISALLOW_COPY(BufferPool);
@@ -282,8 +281,8 @@ class BufferPool {
   friend class PageGuard;
 
   struct Frame {
-    /// page_size bytes of the frame memory block; not initialized until
-    /// the frame's first load or FixNewPage writes it.
+    /// page_size bytes of the caller's frame memory; meaningless until
+    /// the frame's load or FixNewPage writes it.
     char* data = nullptr;
     /// Mutated only under victim_mu_ + the owning shard's mutex; stable
     /// while either is held or while the reader holds a pin.
@@ -348,9 +347,6 @@ class BufferPool {
   RestoreAdmission* admission_ = nullptr;
   PendingRedo* pending_redo_ = nullptr;
 
-  /// The frames' bytes when no frame_memory was given: one block,
-  /// allocated without zero-filling.
-  std::unique_ptr<char[]> own_frame_memory_;
   std::vector<std::unique_ptr<Frame>> frames_;
   mutable std::vector<Shard> shards_;
 

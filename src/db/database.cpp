@@ -109,8 +109,11 @@ void Database::BuildVolatileState() {
   bp.verify_on_read = options_.verify_on_read;
   bp.table_shards = options_.pool_shards;
   if (frame_memory_ == nullptr) {
-    frame_memory_.reset(new char[bp.num_frames * bp.page_size]);
+    // Zeroed once, so that its pages are touched here and not by the
+    // first loads into each frame.
+    frame_memory_.reset(new char[bp.num_frames * bp.page_size]());
   }
+  pool_.reset();  // the old pool's frames live in the same block
   pool_ = std::make_unique<BufferPool>(bp, data_.get(), log_.get(),
                                        frame_memory_.get());
 
@@ -481,12 +484,12 @@ StatusOr<CheckpointStats> Database::Checkpoint() {
   return TakeCheckpoint();
 }
 
-StatusOr<CheckpointStats> Database::TakeCheckpoint(Lsn flush_below) {
+StatusOr<CheckpointStats> Database::TakeCheckpoint() {
   Checkpointer ckpt(log_.get(), pool_.get(), txns_.get(), alloc_.get(), &bbl_,
                     options_.tracking == WriteTrackingMode::kPri
                         ? pri_manager_.get()
                         : nullptr);
-  auto stats = ckpt.Take(flush_below);
+  auto stats = ckpt.Take();
   if (stats.ok()) {
     master_record_stash_.store(log_->GetMasterRecord(),
                                std::memory_order_release);
@@ -553,7 +556,10 @@ void Database::SimulateCrash() {
 }
 
 StatusOr<RestartStats> Database::Restart() {
-  SPF_RETURN_IF_ERROR(AwaitPendingRedo());
+  // A previous restart's sweep finishes first. Redo it still owes (a page
+  // load failed, or that restart's undo did) is planned again below; the
+  // pages it did redo are cached and current.
+  (void)restart_sweep_.Wait();
   PriManager* pri = options_.tracking == WriteTrackingMode::kPri
                         ? pri_manager_.get()
                         : nullptr;
@@ -565,12 +571,8 @@ StatusOr<RestartStats> Database::Restart() {
   // Standard practice: checkpoint at the end of restart so the next crash
   // does not re-run this recovery — here once the sweep has redone every
   // planned page, since a page still owing redo is in no dirty page table.
-  // It flushes what restart dirtied (redo and undo); the pages of
-  // transactions admitted since stay dirty in its dirty page table.
-  const Lsn admitted_at = log_->tail_lsn();
-  restart_sweep_.Start(
-      redo_plan_.get(), pool_.get(), &clock_,
-      [this, admitted_at] { return TakeCheckpoint(admitted_at).status(); });
+  restart_sweep_.Start(redo_plan_.get(), pool_.get(), &clock_,
+                       [this] { return TakeCheckpoint().status(); });
   return restart_stats_;
 }
 

@@ -31,7 +31,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <limits>
 #include <memory>
 #include <string>
 
@@ -263,7 +262,10 @@ class Database {
   /// Takes a fuzzy checkpoint (dirty pages, dirty PRI windows, active
   /// transactions, allocator + bad-block snapshots; master record). Waits
   /// first for a restart's pending redo: a page that still owes redo is
-  /// in no dirty page table, so the new master record would skip it.
+  /// in no dirty page table, so the new master record would skip it. If
+  /// the restart sweep ended with a page still owed (its load failed),
+  /// returns the sweep's error until a later Restart() or RecoverMedia()
+  /// settles that redo; TakeFullBackup and CheckOffline do the same.
   StatusOr<CheckpointStats> Checkpoint();
   /// Flushes everything and takes a full backup (media recovery baseline +
   /// PRI range compression). Waits first for a restart's pending redo,
@@ -288,7 +290,8 @@ class Database {
   /// admits transactions. From then on a page is redone by whichever
   /// thread loads it first, and a background sweep redoes the rest in
   /// page order before it takes the end-of-restart checkpoint.
-  /// Waits first for a previous restart's sweep.
+  /// Waits first for a previous restart's sweep; redo that one still
+  /// owes (a failed page load, or a failed undo) is planned again.
   /// @return analysis and undo counts and the plan's size; the redo
   ///         counts are zero here (see AwaitRestartRedo).
   StatusOr<RestartStats> Restart();
@@ -297,7 +300,10 @@ class Database {
   /// page and taken the end-of-restart checkpoint.
   /// @return that restart's stats with the redo counts filled in, or the
   ///         first error the sweep met (a failed page load, or the
-  ///         checkpoint's). Returns zeroed stats when no restart ran.
+  ///         checkpoint's). A page whose load failed is left to its
+  ///         readers while the sweep redoes the rest; the sweep then ends
+  ///         without a checkpoint. Returns zeroed stats when no restart
+  ///         ran.
   StatusOr<RestartStats> AwaitRestartRedo();
 
   /// Full media recovery under the restore-gate protocol (rung 5 of the
@@ -453,10 +459,8 @@ class Database {
 
   /// Checkpoint without waiting for restart redo: the sweep's own
   /// end-of-restart checkpoint, and full restore's, whose replay covers
-  /// every planned record. Flushes the dirty pages whose recLSN lies
-  /// below `flush_below` (Checkpointer::Take).
-  StatusOr<CheckpointStats> TakeCheckpoint(
-      Lsn flush_below = std::numeric_limits<Lsn>::max());
+  /// every planned record.
+  StatusOr<CheckpointStats> TakeCheckpoint();
   /// Waits for the restart sweep; an error when redo is still owed.
   Status AwaitPendingRedo();
 
@@ -490,7 +494,7 @@ class Database {
 
   // The buffer pool's frame bytes. A crash loses their contents, not the
   // memory: every rebuilt pool reuses this block, so it is allocated and
-  // mapped once instead of once per crash.
+  // touched once instead of once per crash.
   std::unique_ptr<char[]> frame_memory_;
 
   // Volatile: rebuilt by SimulateCrash + Restart.

@@ -61,12 +61,15 @@ void RestartSweep::Run(RedoPlan* plan, BufferPool* pool, const SimClock* clock,
   Status s;
   bool stopped = false;
   SimTimer timer(clock);
-  // Page order; a page whose load failed on another thread after the
-  // cursor passed it is picked up by the next round.
+  // Page order. A page whose load fails here is left to its readers for
+  // the rest of the pass, and the sweep ends after that pass. A page
+  // whose load failed on another thread after the cursor passed it is
+  // picked up by the next pass.
   PageId cursor = 0;
   while (plan->Pending()) {
     const PageId id = plan->NextOwed(cursor);
     if (id == kInvalidPageId) {
+      if (!s.ok()) break;
       cursor = 0;
       continue;
     }
@@ -77,14 +80,11 @@ void RestartSweep::Run(RedoPlan* plan, BufferPool* pool, const SimClock* clock,
     // A shared fix is enough: the load applies the page's redo under the
     // frame's exclusive latch before the fix returns.
     auto guard = pool->FixPage(id, LatchMode::kShared);
-    if (!guard.ok()) {
-      s = guard.status();
-      break;
-    }
+    if (!guard.ok() && s.ok()) s = guard.status();
     cursor = id + 1;
   }
   const double redo_seconds = timer.ElapsedSeconds();
-  if (s.ok() && !stopped) s = checkpoint();
+  if (!stopped && !plan->Pending()) s = checkpoint();
 
   MutexLock g(mu_);
   redo_sim_seconds_ = redo_seconds;

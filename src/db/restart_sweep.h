@@ -34,7 +34,8 @@ class RestartSweep {
   void Stop();
 
   /// Blocks until the running sweep, if any, has finished. Returns its
-  /// status: the first failed page load, else the checkpoint's.
+  /// status: the first failed page load while a page is still owed,
+  /// else the checkpoint's.
   Status Wait();
 
   /// Simulated seconds from the sweep's first page until no page was

@@ -58,7 +58,7 @@ StatusOr<CheckpointEndBody> CheckpointEndBody::Decode(std::string_view data) {
   return body;
 }
 
-StatusOr<CheckpointStats> Checkpointer::Take(Lsn flush_below) {
+StatusOr<CheckpointStats> Checkpointer::Take() {
   CheckpointStats stats;
 
   LogRecord begin;
@@ -71,7 +71,6 @@ StatusOr<CheckpointStats> Checkpointer::Take(Lsn flush_below) {
   // cascade into the NEXT checkpoint.
   std::vector<DirtyPageEntry> dirty_at_start = pool_->DirtyPages();
   for (const auto& e : dirty_at_start) {
-    if (e.rec_lsn >= flush_below) continue;
     SPF_RETURN_IF_ERROR(pool_->FlushPage(e.page_id));
     stats.pages_flushed++;
   }

@@ -11,7 +11,6 @@
 
 #pragma once
 
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -55,13 +54,7 @@ class Checkpointer {
         bbl_(bbl),
         pri_manager_(pri_manager) {}
 
-  /// Takes one checkpoint. Only dirty pages whose recLSN lies below
-  /// `flush_below` are flushed; every dirty page still lands in the end
-  /// record's dirty page table. The end-of-restart checkpoint passes the
-  /// log tail at admission, so it flushes what redo dirtied and leaves
-  /// the pages of transactions admitted since to the next checkpoint.
-  StatusOr<CheckpointStats> Take(
-      Lsn flush_below = std::numeric_limits<Lsn>::max());
+  StatusOr<CheckpointStats> Take();
 
  private:
   LogManager* const log_;

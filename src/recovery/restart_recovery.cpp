@@ -279,15 +279,18 @@ Status RestartRecovery::Analysis(RedoPlan* plan, RestartStats* stats) {
 Status RestartRecovery::BuildPlan(RedoPlan* plan, RestartStats* stats) {
   if (dpt_.empty() || redo_scan_floor_ == kInvalidLsn ||
       redo_scan_floor_ >= log_->tail_lsn()) {
-    kept_.clear();
+    kept_.clear();  // nothing is owed
+    return Status::OK();
   }
   // Redo starts at the floor, a record boundary at or below every record
   // a DPT entry still demands. Raised (certified) recLSNs are mid-record
   // markers used only to cut the per-page lists below.
   const Lsn floor = std::max(redo_scan_floor_, log_->first_lsn());
-  if (!kept_.empty() && floor < stats->analysis_start) {
-    // A checkpoint's DPT can reach below the checkpoint itself: read the
-    // older records the analysis scan started after.
+  if (floor < stats->analysis_start) {
+    // A checkpoint's DPT can reach below the checkpoint itself — a page
+    // dirtied before the checkpoint and not flushed by it — even when no
+    // page record follows the checkpoint: read the older records the
+    // analysis scan started after.
     for (auto it = log_->Scan(floor, stats->analysis_start); it.Valid();
          it.Next()) {
       const LogRecord& rec = it.record();

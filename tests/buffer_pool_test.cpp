@@ -26,7 +26,7 @@ class BufferPoolTest : public ::testing::Test {
     BufferPoolOptions o;
     o.page_size = kPS;
     o.num_frames = 8;
-    pool_ = std::make_unique<BufferPool>(o, &device_, &log_);
+    pool_ = std::make_unique<BufferPool>(o, &device_, &log_, frames_.get());
     // Pre-format a handful of pages on the device.
     PageBuffer buf(kPS);
     for (PageId p = 0; p < 64; ++p) {
@@ -41,6 +41,7 @@ class BufferPoolTest : public ::testing::Test {
   SimDevice device_;
   SimLogDevice wal_;
   LogManager log_;
+  std::unique_ptr<char[]> frames_{new char[8 * kPS]};
   std::unique_ptr<BufferPool> pool_;
 };
 

@@ -15,6 +15,9 @@
 #include <vector>
 
 #include "db/database.h"
+#include "recovery/checkpoint.h"
+#include "recovery/restart_recovery.h"
+#include "test_env.h"
 
 namespace spf {
 namespace {
@@ -242,6 +245,103 @@ TEST(InstantRestartTest, MediaRecoveryCancelsPendingRedo) {
   ASSERT_TRUE(db->AwaitRestartRedo().ok());
   ExpectCommitted(db.get(), 0, 2000, "w");
   ASSERT_TRUE(db->CheckOffline(nullptr).ok());
+}
+
+TEST(InstantRestartTest, UpdateAfterRestartSurvivesTheNextCrash) {
+  // An update committed after admission to a leaf that owes no redo,
+  // then a crash once the sweep has checkpointed: the next restart must
+  // redo it even when no page record follows that checkpoint.
+  auto db = MakeDb();
+  Put(db.get(), 0, 2000, "v");
+  ASSERT_TRUE(db->Checkpoint().ok());
+  Put(db.get(), 0, 100, "w");  // only the first leaves owe redo
+  db->SimulateCrash();
+
+  db->restart_sweep()->Pause();
+  ASSERT_TRUE(db->Restart().ok());
+  Put(db.get(), 1900, 1901, "x");
+  db->restart_sweep()->Resume();
+  ASSERT_TRUE(db->AwaitRestartRedo().ok());
+  db->SimulateCrash();
+
+  ASSERT_TRUE(db->Restart().ok());
+  ExpectCommitted(db.get(), 0, 100, "w");
+  ExpectCommitted(db.get(), 1900, 1901, "x");
+  ASSERT_TRUE(db->AwaitRestartRedo().ok());
+  ASSERT_TRUE(db->CheckOffline(nullptr).ok());
+}
+
+TEST(InstantRestartTest, FailedSweepLoadLeavesRestartRetryable) {
+  // A planned page that cannot be read: the sweep redoes every other page
+  // and reports the failure; checkpoints refuse while that page still
+  // owes redo, and a later Restart plans it again.
+  DatabaseOptions o = FastOptions();
+  o.enable_single_page_repair = false;
+  auto db = MakeDb(o);
+  Put(db.get(), 0, 2000, "v");
+  ASSERT_TRUE(db->Checkpoint().ok());
+  Put(db.get(), 0, 2000, "w");
+  auto leaf = db->LeafPageOf(Key(1500));
+  ASSERT_TRUE(leaf.ok());
+  db->SimulateCrash();
+
+  db->data_device()->InjectReadError(*leaf);
+  ASSERT_TRUE(db->Restart().ok());
+  EXPECT_FALSE(db->AwaitRestartRedo().ok());
+  EXPECT_FALSE(db->Checkpoint().ok());
+  ExpectCommitted(db.get(), 0, 1000, "w");  // redone despite the failure
+
+  db->data_device()->ClearFault(*leaf);
+  ASSERT_TRUE(db->Restart().ok());
+  ASSERT_TRUE(db->AwaitRestartRedo().ok());
+  ExpectCommitted(db.get(), 0, 2000, "w");
+  ASSERT_TRUE(db->Checkpoint().ok());
+  ASSERT_TRUE(db->CheckOffline(nullptr).ok());
+}
+
+TEST(RestartPlanTest, ReadsRecordsBelowACheckpointNoPageRecordFollows) {
+  // A checkpoint's dirty page table can name a page dirtied before the
+  // checkpoint and not flushed by it (a fuzzy checkpoint under traffic)
+  // while no page record follows the checkpoint. Analysis then keeps no
+  // record of its own, and the plan must come from the older records.
+  testenv::TestEnv env;
+  ASSERT_TRUE(env.WithTxn([&](Transaction* t) {
+                   return env.tree->Insert(t, "k", "v1");
+                 }).ok());
+  ASSERT_TRUE(env.pool->FlushAll().ok());
+  ASSERT_TRUE(env.WithTxn([&](Transaction* t) {
+                   return env.tree->Update(t, "k", "v2");
+                 }).ok());
+
+  BadBlockList bbl;
+  CheckpointEndBody body;
+  body.dpt = env.pool->DirtyPages();
+  ASSERT_FALSE(body.dpt.empty());
+  body.allocator_image = env.alloc->Serialize();
+  body.bad_blocks_image = bbl.Serialize();
+  body.next_txn_id = env.txns->next_txn_id();
+  LogRecord begin;
+  begin.type = LogRecordType::kCheckpointBegin;
+  const Lsn begin_lsn = env.log->Append(&begin);
+  LogRecord end;
+  end.type = LogRecordType::kCheckpointEnd;
+  end.body = body.Encode();
+  env.log->Append(&end);
+  env.log->ForceAll();
+  env.log->SetMasterRecord(begin_lsn);
+  env.pool->DiscardAll();  // the crash: "v2" never reached the device
+
+  RedoPlan plan(/*pri_manager=*/nullptr);
+  RestartRecovery restart(env.log.get(), env.pool.get(), env.txns.get(),
+                          env.tree.get(), env.alloc.get(), &bbl,
+                          /*pri_manager=*/nullptr, &env.clock);
+  auto stats = restart.Run(&plan);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->redo_plan_pages, body.dpt.size());
+  auto got = env.tree->Get(nullptr, "k");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, "v2");
+  env.pool->SetPendingRedo(nullptr);
 }
 
 }  // namespace

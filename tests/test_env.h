@@ -50,7 +50,9 @@ class TestEnv {
     bp_opts.page_size = opts.page_size;
     bp_opts.num_frames = opts.buffer_frames;
     bp_opts.verify_on_read = opts.verify_on_read;
-    pool = std::make_unique<BufferPool>(bp_opts, data.get(), log.get());
+    frame_memory.reset(new char[opts.buffer_frames * opts.page_size]);
+    pool = std::make_unique<BufferPool>(bp_opts, data.get(), log.get(),
+                                        frame_memory.get());
     locks = std::make_unique<LockManager>();
     txns = std::make_unique<TxnManager>(log.get(), locks.get());
     alloc = std::make_unique<PageAllocator>(opts.num_pages, opts.reserved_pages);
@@ -98,6 +100,7 @@ class TestEnv {
   std::unique_ptr<SimDevice> data;
   std::unique_ptr<SimLogDevice> wal;
   std::unique_ptr<LogManager> log;
+  std::unique_ptr<char[]> frame_memory;
   std::unique_ptr<BufferPool> pool;
   std::unique_ptr<LockManager> locks;
   std::unique_ptr<TxnManager> txns;
