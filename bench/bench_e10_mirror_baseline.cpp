@@ -49,7 +49,7 @@ void Run() {
     SPF_CHECK_OK(t.Commit());
   }
   const int victim_key = kRecords / 2;
-  UpdateKeyNTimes(db.get(), victim_key, 30);  // the victim's chain: ~30 records
+  UpdateKeyNTimes(db.get(), victim_key, 30);  // 30 more records on its chain
   SPF_CHECK_OK(db->FlushAll());
   db->log()->ForceAll();
   auto victim_or = db->LeafPageOf(Key(victim_key));
@@ -80,7 +80,7 @@ void Run() {
                 std::to_string(ms.mirror_writes), FormatSeconds(mirror_seconds),
                 "full second copy of the database, continuous apply"});
   table.AddRow({"single-page recovery",
-                std::to_string(spr.log_reads),
+                std::to_string(spr.log_records_applied),
                 "1", FormatSeconds(spr_seconds),
                 "PRI (~1 permille of db, see E5) + per-page backups"});
   table.Print();
@@ -91,7 +91,7 @@ void Run() {
       "single-page recovery reads only the failed page's chain\n"
       "(%" PRIu64 " records) plus one backup page - the per-page log chain\n"
       "the mirroring scheme \"completely fails to exploit\".\n",
-      ms.records_scanned, spr.log_reads);
+      ms.records_scanned, spr.log_records_applied);
 }
 
 }  // namespace

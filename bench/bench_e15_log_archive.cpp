@@ -1,11 +1,11 @@
 // E15 — the sorted log archive: repair and restore go sequential.
 //
-// The tail-only chain walk pays one random log read per update since the
-// page's last backup (E3's linearity). With the archiver draining the log
-// into runs sorted by (page id, LSN), the same chain comes back from a
-// handful of positioned sequential archive reads, and a media restore's
-// replay plan shrinks its log scan to the unarchived tail while archived
-// history arrives pre-partitioned per segment. Two axes:
+// The paper's tail-only chain walk pays one random log read per update
+// since the page's last backup (section 6). With the archiver draining
+// the log into runs sorted by (page id, LSN), the same chain comes back
+// from a handful of positioned sequential archive reads, and a media
+// restore's replay plan shrinks its log scan to the unarchived tail while
+// archived history arrives pre-partitioned per segment. Two axes:
 //
 //   E15a  single-page repair: tail chain walk vs archive run merge, with
 //         the repaired images required to be byte-identical;
@@ -20,7 +20,6 @@
 
 #include "bench_util.h"
 #include "log/log_archive.h"
-#include "log/log_source.h"
 
 namespace spf {
 namespace bench {
@@ -54,31 +53,30 @@ void RunRepairAxis() {
 
     // Baseline: the per-page chain walked backward through the log tail,
     // one random read per record.
-    spr->SetLogSource(nullptr);
     SPF_CHECK(db->pool()->DiscardPage(*victim));
     db->data_device()->InjectSilentCorruption(*victim);
     uint64_t log_reads_before = spr->stats().log_reads;
     SimTimer tail_timer(db->clock());
     std::vector<char> tail_img(page_size);
-    SPF_CHECK_OK(spr->RepairPage(*victim, tail_img.data()));
+    SPF_CHECK_OK(RepairPagePerRecord(db.get(), *victim, tail_img.data()));
     double tail_s = tail_timer.ElapsedSeconds();
     uint64_t tail_reads = spr->stats().log_reads - log_reads_before;
 
     // Archived: drain the whole log into sorted runs, then repair the
-    // same page through the run merge (positioned sequential reads).
+    // same page as the read path does; its chain now lies wholly below
+    // the archive watermark and arrives as one run merge (positioned
+    // sequential reads).
     SPF_CHECK_OK(db->archiver()->ArchiveAll());
-    ArchiveLogSource archive_source(db->archiver(), db->log());
-    spr->SetLogSource(&archive_source);
     SPF_CHECK(db->pool()->DiscardPage(*victim));
     db->data_device()->InjectSilentCorruption(*victim);
     uint64_t merge_reads_before = db->archiver()->stats().merge_reads;
     SimTimer archive_timer(db->clock());
     std::vector<char> archive_img(page_size);
-    SPF_CHECK_OK(spr->RepairPage(*victim, archive_img.data()));
+    SPF_CHECK_OK(
+        db->recovery_scheduler()->RepairPage(*victim, archive_img.data()));
     double archive_s = archive_timer.ElapsedSeconds();
     uint64_t archive_reads =
         db->archiver()->stats().merge_reads - merge_reads_before;
-    spr->SetLogSource(nullptr);  // archive_source dies with this scope
 
     bool identical =
         std::memcmp(tail_img.data(), ref.data(), page_size) == 0 &&

@@ -5,11 +5,13 @@
 // the recovery log plus one I/O for the backup page. Thus, pure I/O time
 // should perhaps be 1 s. ... The number of log records that must be
 // retrieved and applied to the backup page equals the number of updates
-// since the last page backup." — with a 10 ms random-read disk, chain
-// length N costs roughly N * 10 ms + one backup read, so the backup-
-// every-N policy directly bounds worst-case repair time. This bench sweeps
-// N and verifies both the linearity and the "about a second for dozens"
-// magnitude.
+// since the last page backup." — with a 10 ms random-read disk and one
+// read per record, chain length N costs roughly N * 10 ms + one backup
+// read, so the backup-every-N policy directly bounds worst-case repair
+// time. The read path here does better than that bound: it reads a
+// chain's log region in segments of up to 256 KiB, so a chain of dozens
+// of records costs one log read. This bench sweeps N through the read
+// path and prints the paper's per-record bound beside it.
 
 #include "bench_util.h"
 
@@ -20,7 +22,8 @@ namespace {
 void Run() {
   printf(
       "E3: single-page recovery time vs. updates since the last page "
-      "backup\n(log on %s: 10 ms per random log-record read)\n",
+      "backup\n(log on %s; the read path reads a chain's log region in\n"
+      "segments of up to 256 KiB, not one random read per record)\n",
       DeviceProfile::Hdd100().name.c_str());
 
   Table table({"chain length", "log reads", "backup reads", "repair time",
@@ -61,18 +64,23 @@ void Run() {
 
   printf(
       "\nBackup-every-N policy bound (section 6: \"fast single-page recovery\n"
-      "can be ensured with a page backup after a number of updates\"):\n");
-  Table policy({"policy threshold N", "worst-case chain", "worst-case repair"});
+      "can be ensured with a page backup after a number of updates\"), by\n"
+      "the paper's per-record arithmetic: one 10 ms random log read per\n"
+      "chain record plus one backup read:\n");
+  Table policy({"policy threshold N", "worst-case chain",
+                "per-record bound"});
   for (int n : {10, 100, 1000}) {
     double worst = n * 0.010 + 0.010;  // N random log reads + 1 backup read
     policy.AddRow({std::to_string(n), std::to_string(n), FormatSeconds(worst)});
   }
   policy.Print();
   printf(
-      "\nPaper expectation: repair time is linear in the chain length at\n"
-      "~one random log I/O per update since the last backup; dozens of\n"
-      "records => ~1 s; the delay is absorbed inside the waiting\n"
-      "transaction, which never aborts.\n");
+      "\nPaper expectation: at ~one random log I/O per update since the\n"
+      "last backup, repair time is linear in the chain length and dozens\n"
+      "of records => ~1 s (the bound above). Reading the chain in log\n"
+      "segments keeps the measured repair well under that bound. Either\n"
+      "way the delay is absorbed inside the waiting transaction, which\n"
+      "never aborts.\n");
 }
 
 }  // namespace

@@ -170,6 +170,56 @@ inline std::unique_ptr<Database> MakeChainedBurstDb(
   return db;
 }
 
+/// The paper's per-record single-page repair (Figure 10, section 6): the
+/// newest backup image, then one random log read per record of the
+/// page's chain. The engine reads chains in shared segments and archive
+/// runs instead; this reference walk is the serial baseline the E8b, E9
+/// and E15a tables and the equivalence tests compare against. Like the
+/// engine's repair it applies records through ApplyChain, heals the
+/// device copy, merges its counters into the SinglePageRecovery stats
+/// and leaves the rebuilt image in `frame`.
+inline Status RepairPagePerRecord(Database* db, PageId id, char* frame) {
+  SinglePageRecovery* spr = db->single_page_recovery();
+  SimTimer timer(db->clock());
+  SinglePageRecoveryStats acc;
+  acc.repairs_attempted++;
+  Status s = [&]() -> Status {
+    SPF_ASSIGN_OR_RETURN(PriEntry entry, spr->LookupEntry(id));
+    SPF_RETURN_IF_ERROR(spr->LoadBackupImage(id, entry, frame, &acc));
+    const Lsn backup_lsn = PageView(frame, spr->page_size()).page_lsn();
+    std::vector<LogRecord> chain;  // newest first
+    for (Lsn cur = entry.last_lsn; cur != kInvalidLsn && cur > backup_lsn;) {
+      SPF_ASSIGN_OR_RETURN(LogRecord rec, db->log()->Read(cur));
+      acc.log_reads++;
+      if (rec.page_id != id) {
+        return Status::Corruption("per-page chain contains foreign record");
+      }
+      cur = rec.page_prev_lsn;
+      chain.push_back(std::move(rec));
+    }
+    SPF_RETURN_IF_ERROR(spr->ApplyChain(&chain, frame, &acc));
+    return spr->FinishRepair(id, entry, frame, &acc);
+  }();
+  if (s.ok()) {
+    spr->NoteLastRepair(acc.last_chain_length, timer.ElapsedNanos(),
+                        acc.last_backup_kind);
+  } else {
+    acc.escalations++;
+  }
+  spr->MergeStats(acc, id);
+  return SinglePageRecovery::Escalate(id, s);
+}
+
+/// RepairPagePerRecord over `pages`, one after another.
+inline Status RepairPagesPerRecord(Database* db,
+                                   const std::vector<PageId>& pages) {
+  std::vector<char> frame(db->options().page_size);
+  for (PageId p : pages) {
+    SPF_RETURN_IF_ERROR(RepairPagePerRecord(db, p, frame.data()));
+  }
+  return Status::OK();
+}
+
 /// Applies `n` committed single-key updates (each adds one record to the
 /// key's per-page chain).
 inline void UpdateKeyNTimes(Database* db, int key, int n) {

@@ -54,8 +54,7 @@ int main() {
   // cadence would degrade to continuous ticking here, because scrub reads
   // are the only thing advancing the simulated clock.)
   options.scrub_wall_interval = std::chrono::milliseconds(2);
-  options.recovery_workers = 4;
-  options.batch_repair = true;
+  options.recovery_workers = 4;  // the scheduler's batch fan-out
   // auto_escalate defaults to true: detection sites feed the funnel.
   auto db = std::move(Database::Create(options)).value();
 

@@ -210,7 +210,7 @@ StatusOr<size_t> BufferPool::FindVictim(
       bool raced;
       {
         MutexLock g(sh.mu);
-        raced = f->pin_count.load(std::memory_order_relaxed) > 0 ||
+        raced = f->pin_count.load(std::memory_order_acquire) > 0 ||
                 f->dirty.load(std::memory_order_acquire);
         if (!raced) {
           sh.map.erase(f->page_id);
@@ -420,7 +420,7 @@ Status BufferPool::FlushPage(PageId id) {
     WriterLock latch(f->latch);
     s = WriteBack(f);
   }
-  f->pin_count.fetch_sub(1, std::memory_order_relaxed);
+  f->pin_count.fetch_sub(1, std::memory_order_release);
   return s;
 }
 
@@ -449,7 +449,7 @@ Status BufferPool::EvictPage(PageId id) {
   auto it = sh.map.find(id);
   if (it == sh.map.end()) return Status::OK();
   Frame* f = frames_[it->second].get();
-  if (f->pin_count.load(std::memory_order_relaxed) > 0) {
+  if (f->pin_count.load(std::memory_order_acquire) > 0) {
     return Status::Busy("page pinned");
   }
   if (f->dirty.load(std::memory_order_acquire)) {
@@ -473,7 +473,7 @@ size_t BufferPool::DiscardAllUnpinned() {
     if (f->page_id == kInvalidPageId) continue;
     Shard& sh = ShardFor(f->page_id);
     MutexLock g(sh.mu);
-    if (f->pin_count.load(std::memory_order_relaxed) > 0) {
+    if (f->pin_count.load(std::memory_order_acquire) > 0) {
       kept++;
       continue;
     }
@@ -493,7 +493,7 @@ bool BufferPool::DiscardPage(PageId id) {
   auto it = sh.map.find(id);
   if (it == sh.map.end()) return true;
   Frame* f = frames_[it->second].get();
-  if (f->pin_count.load(std::memory_order_relaxed) > 0) {
+  if (f->pin_count.load(std::memory_order_acquire) > 0) {
     return false;  // in use; caller may retry
   }
   sh.map.erase(it);
@@ -592,7 +592,7 @@ void BufferPool::Unfix(size_t frame_index, LatchMode mode) {
   } else {
     f->latch.Unlock();
   }
-  uint32_t prev = f->pin_count.fetch_sub(1, std::memory_order_relaxed);
+  uint32_t prev = f->pin_count.fetch_sub(1, std::memory_order_release);
   SPF_CHECK_GT(prev, 0u);
 }
 

@@ -25,7 +25,9 @@
 // plus the owning shard's mutex, so either lock (or a held pin) makes it
 // stable. A pin can go 0→1 only under the shard mutex while the mapping
 // exists (hits) or under victim_mu_ (the evictor's private write-back
-// pin), which is what makes the evictor's pin==0 checks sound.
+// pin), which is what makes the evictor's pin==0 checks sound. Unpins
+// release and the pin==0 checks that unmap a frame acquire, so whatever
+// a pin holder read (page_id included) happens before the unmap.
 
 #pragma once
 

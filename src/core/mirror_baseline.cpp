@@ -1,5 +1,7 @@
 #include "core/mirror_baseline.h"
 
+#include "recovery/page_redo.h"
+
 namespace spf {
 
 Status MirrorBaseline::SeedFromPrincipal(SimDevice* principal) {
@@ -31,29 +33,13 @@ Status MirrorBaseline::CatchUp() {
   for (auto it = log_->Scan(from, end); it.Valid(); it.Next()) {
     const LogRecord& rec = it.record();
     scanned++;
-    switch (rec.type) {
-      case LogRecordType::kPageFormat:
-      case LogRecordType::kBTreeInsert:
-      case LogRecordType::kBTreeMarkGhost:
-      case LogRecordType::kBTreeUpdate:
-      case LogRecordType::kBTreeReclaimGhost:
-      case LogRecordType::kBTreeSplit:
-      case LogRecordType::kBTreeAdopt:
-      case LogRecordType::kBTreeGrowRoot:
-      case LogRecordType::kCompensation:
-        break;
-      default:
-        continue;
+    if (!IsPageReplayRecord(rec.type) || rec.page_id == kInvalidPageId) {
+      continue;
     }
-    if (rec.page_id == kInvalidPageId) continue;
-
+    SPF_RETURN_IF_ERROR(mirror_->ReadPage(rec.page_id, buf.data()));
     PageView page = buf.view();
-    if (rec.type != LogRecordType::kPageFormat) {
-      SPF_RETURN_IF_ERROR(mirror_->ReadPage(rec.page_id, buf.data()));
-      if (page.page_lsn() >= rec.lsn) continue;  // already applied
-    }
-    SPF_RETURN_IF_ERROR(btree_log::RedoBTreeRecord(rec, page));
-    page.set_page_lsn(rec.lsn);
+    SPF_ASSIGN_OR_RETURN(bool redone, ApplyPageRedo(rec, page));
+    if (!redone) continue;  // the seed already reflects it
     page.UpdateChecksum();
     SPF_RETURN_IF_ERROR(mirror_->WritePage(rec.page_id, buf.data()));
     applied++;

@@ -13,10 +13,12 @@
 //     chain already present in the recovery log";
 //   * it requires "keeping an entire mirror database current at all times"
 //     — double the storage and continuous apply bandwidth.
+// CatchUp applies each record through ApplyPageRedo, the redo rule every
+// other replay path uses, so a mirror page equals the principal's byte
+// for byte.
 
 #pragma once
 
-#include "btree/btree_log.h"
 #include "common/sim_clock.h"
 #include "common/sync.h"
 #include "log/log_manager.h"

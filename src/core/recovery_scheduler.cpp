@@ -3,11 +3,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <queue>
 #include <thread>
 #include <unordered_map>
-
-#include "btree/btree_log.h"
 
 namespace spf {
 
@@ -149,17 +148,16 @@ Status RecoveryScheduler::RepairPage(PageId id, char* frame) {
     MutexLock g(stats_mu_);
     stats_.single_repairs++;
   }
-  return spr_->RepairPage(id, frame);
-}
-
-void RecoveryScheduler::set_batch_repair(bool on) {
-  MutexLock g(stats_mu_);
-  options_.batch_repair = on;
-}
-
-bool RecoveryScheduler::batch_repair() const {
-  MutexLock g(stats_mu_);
-  return options_.batch_repair;
+  // A batch of one on the calling thread. It takes neither batch_mu_ nor
+  // the worker pool: the funnel worker re-enters here mid-ladder, and a
+  // reader holding a frame latch must not queue behind a whole batch.
+  std::vector<PageTask> tasks(1);
+  tasks[0].id = id;
+  tasks[0].acc.repairs_attempted++;
+  BatchRepairResult result = RepairBatched(&tasks, /*workers=*/nullptr);
+  if (result.failed != 0) return result.failures.front().status;
+  std::memcpy(frame, tasks[0].frame.get(), spr_->page_size());
+  return Status::OK();
 }
 
 RecoverySchedulerStats RecoveryScheduler::stats() const {
@@ -173,7 +171,7 @@ void RecoveryScheduler::ResetStats() {
 }
 
 std::vector<RecoveryScheduler::PageTask> RecoveryScheduler::PrepareBatch(
-    std::vector<PageId>* pages, bool* batched) {
+    std::vector<PageId>* pages) {
   std::sort(pages->begin(), pages->end());
   pages->erase(std::unique(pages->begin(), pages->end()), pages->end());
 
@@ -186,8 +184,25 @@ std::vector<RecoveryScheduler::PageTask> RecoveryScheduler::PrepareBatch(
   MutexLock g(stats_mu_);
   stats_.batches++;
   stats_.pages_requested += pages->size();
-  if (batched != nullptr) *batched = options_.batch_repair;
   return tasks;
+}
+
+RecoveryScheduler::WorkerPool* RecoveryScheduler::BatchWorkers() {
+  // Spawn the worker threads on first batch only: most Database
+  // instances (tests, crash/restart cycles) never repair a batch.
+  if (workers_ == nullptr) {
+    workers_ = std::make_unique<WorkerPool>(options_.num_workers);
+  }
+  return workers_.get();
+}
+
+void RecoveryScheduler::ForEach(WorkerPool* workers, size_t count,
+                                const std::function<void(size_t)>& fn) {
+  if (workers == nullptr) {
+    for (size_t i = 0; i < count; ++i) fn(i);
+    return;
+  }
+  workers->ParallelFor(count, fn);
 }
 
 StatusOr<BatchRepairResult> RecoveryScheduler::RepairBatch(
@@ -211,9 +226,8 @@ StatusOr<BatchRepairResult> RecoveryScheduler::RepairBatchImpl(
   {
     MutexLock batch_guard(batch_mu_);
 
-    bool batched;
-    std::vector<PageTask> tasks = PrepareBatch(&pages, &batched);
-    result = batched ? RepairBatched(&tasks) : RepairSerial(&tasks);
+    std::vector<PageTask> tasks = PrepareBatch(&pages);
+    result = RepairBatched(&tasks, BatchWorkers());
 
     MutexLock g(stats_mu_);
     stats_.pages_repaired += result.repaired;
@@ -236,8 +250,9 @@ StatusOr<BatchRepairResult> RecoveryScheduler::RepairBatchFromBackup(
     PartialRestoreBreakdown* breakdown) {
   MutexLock batch_guard(batch_mu_);
 
-  std::vector<PageTask> tasks = PrepareBatch(&pages, nullptr);
-  BatchRepairResult result = RestoreBatched(&tasks, backup, breakdown);
+  std::vector<PageTask> tasks = PrepareBatch(&pages);
+  BatchRepairResult result =
+      RestoreBatched(&tasks, backup, breakdown, BatchWorkers());
 
   {
     MutexLock g(stats_mu_);
@@ -248,32 +263,8 @@ StatusOr<BatchRepairResult> RecoveryScheduler::RepairBatchFromBackup(
   return result;
 }
 
-BatchRepairResult RecoveryScheduler::RepairSerial(
-    std::vector<PageTask>* tasks) {
-  // The per-page baseline: each page pays its own backup read plus one
-  // random log read per chain record, exactly like a foreground repair.
-  BatchRepairResult result;
-  const uint32_t page_size = spr_->page_size();
-  for (PageTask& task : *tasks) {
-    task.frame = std::make_unique<char[]>(page_size);
-    Status s = spr_->RepairPage(task.id, task.frame.get());
-    if (s.ok()) {
-      result.repaired++;
-    } else {
-      result.failed++;
-      result.failures.push_back({task.id, std::move(s)});
-    }
-  }
-  return result;
-}
-
 void RecoveryScheduler::LookupPhase(std::vector<PageTask>* tasks,
                                     bool anchor_only) {
-  // Spawn the worker threads on first batched use only: most Database
-  // instances (tests, crash/restart cycles) never repair a batch.
-  if (workers_ == nullptr) {
-    workers_ = std::make_unique<WorkerPool>(options_.num_workers);
-  }
   const uint32_t page_size = spr_->page_size();
   for (PageTask& task : *tasks) {
     auto entry_or = anchor_only ? spr_->LookupChainAnchor(task.id)
@@ -288,7 +279,7 @@ void RecoveryScheduler::LookupPhase(std::vector<PageTask>* tasks,
 }
 
 BatchRepairResult RecoveryScheduler::RepairBatched(
-    std::vector<PageTask>* tasks) {
+    std::vector<PageTask>* tasks, WorkerPool* workers) {
   SimTimer timer(spr_->clock());
   const uint32_t page_size = spr_->page_size();
 
@@ -325,7 +316,7 @@ BatchRepairResult RecoveryScheduler::RepairBatched(
     if (!join) groups.emplace_back();
     groups.back().push_back(idx);
   }
-  workers_->ParallelFor(groups.size(), [&](size_t g) {
+  ForEach(workers, groups.size(), [&](size_t g) {
     for (size_t idx : groups[g]) {
       PageTask& task = (*tasks)[idx];
       Status s = spr_->LoadBackupImage(task.id, task.entry, task.frame.get(),
@@ -346,14 +337,14 @@ BatchRepairResult RecoveryScheduler::RepairBatched(
   WalkClusters(tasks, nullptr);
 
   // --- phase 3: apply chains + verify + heal, fanned out --------------------
-  ApplyPhase(tasks);
+  ApplyPhase(tasks, workers);
 
   return CollectOutcomes(tasks, timer);
 }
 
 BatchRepairResult RecoveryScheduler::RestoreBatched(
     std::vector<PageTask>* tasks, BackupId backup,
-    PartialRestoreBreakdown* breakdown) {
+    PartialRestoreBreakdown* breakdown, WorkerPool* workers) {
   SimTimer timer(spr_->clock());
   const uint32_t page_size = spr_->page_size();
   PartialRestoreBreakdown local;
@@ -413,7 +404,7 @@ BatchRepairResult RecoveryScheduler::RestoreBatched(
     }
   }
   if (!from_per_page.empty()) {
-    workers_->ParallelFor(from_per_page.size(), [&](size_t i) {
+    ForEach(workers, from_per_page.size(), [&](size_t i) {
       PageTask& task = (*tasks)[from_per_page[i]];
       Status s = spr_->LoadBackupImage(task.id, task.entry, task.frame.get(),
                                        &task.acc);
@@ -432,7 +423,7 @@ BatchRepairResult RecoveryScheduler::RestoreBatched(
   // --- replay phase: shared-segment cluster walk + apply + heal -------------
   SimTimer replay_timer(spr_->clock());
   WalkClusters(tasks, &bd->segment_fetches);
-  ApplyPhase(tasks);
+  ApplyPhase(tasks, workers);
   bd->replay_sim_seconds = replay_timer.ElapsedSeconds();
 
   BatchRepairResult result = CollectOutcomes(tasks, timer);
@@ -485,8 +476,9 @@ size_t RecoveryScheduler::WalkClusters(std::vector<PageTask>* tasks,
   return cluster_count;
 }
 
-void RecoveryScheduler::ApplyPhase(std::vector<PageTask>* tasks) {
-  workers_->ParallelFor(tasks->size(), [&](size_t i) {
+void RecoveryScheduler::ApplyPhase(std::vector<PageTask>* tasks,
+                                   WorkerPool* workers) {
+  ForEach(workers, tasks->size(), [&](size_t i) {
     PageTask& task = (*tasks)[i];
     if (task.done) return;
     Status s = spr_->ApplyChain(&task.chain, task.frame.get(), &task.acc);

@@ -22,10 +22,12 @@
 //      out over a small worker pool (stats are sharded in
 //      SinglePageRecovery, so concurrent repairs do not serialize).
 //
-// The scheduler is also the PageRepairer installed in the buffer pool, so
-// foreground read-time detections (Figure 8), Database::Scrub(), the
-// background Scrubber, and escalation paths all funnel repair work through
-// one component.
+// These phases are the only single-page repair path. A read-path repair
+// (RepairPage: the buffer pool's repairer when the funnel is off, and the
+// funnel's inline fallback) runs them on a batch of one, on the calling
+// thread; batches from Database::Scrub(), the background Scrubber, the
+// funnel's ladder and partial restore run them under batch_mu_ on the
+// worker pool.
 
 #pragma once
 
@@ -36,6 +38,7 @@
 
 #include "common/sync.h"
 #include "core/single_page_recovery.h"
+#include "log/log_archive.h"
 
 namespace spf {
 
@@ -43,10 +46,6 @@ namespace spf {
 struct RecoverySchedulerOptions {
   /// Worker threads for the fan-out phases. 0 runs every phase inline.
   uint32_t num_workers = 4;
-  /// Coordinated batch repair. When false, RepairBatch degrades to the
-  /// serial per-page baseline (one independent chain walk per page) —
-  /// the comparison axis of bench E8.
-  bool batch_repair = true;
   /// Segment size for shared log reads in the batched path.
   uint64_t log_segment_bytes = 256 * 1024;
 };
@@ -59,7 +58,7 @@ struct RecoverySchedulerStats {
   uint64_t pages_failed = 0;        ///< pages that escalated
   uint64_t backup_groups = 0;       ///< backup-source groups formed
   uint64_t chain_clusters = 0;      ///< overlapping-log-range clusters walked
-  uint64_t segment_fetches = 0;     ///< shared log segment reads
+  uint64_t segment_fetches = 0;     ///< log segment reads
   uint64_t archive_fetches = 0;     ///< batched sorted-run range fetches
   uint64_t single_repairs = 0;      ///< foreground (read-path) repairs
   uint64_t partial_restores = 0;    ///< RepairBatchFromBackup invocations
@@ -107,7 +106,9 @@ class RecoveryScheduler : public PageRepairer {
   SPF_DISALLOW_COPY(RecoveryScheduler);
 
   /// PageRepairer hook (buffer pool read path): a foreground fault is a
-  /// batch of one — repaired immediately on the calling thread.
+  /// batch of one, repaired on the calling thread and copied into
+  /// `frame`. Runs beside batches in flight: it takes neither batch_mu_
+  /// nor the worker pool.
   Status RepairPage(PageId id, char* frame) override;
 
   /// Repairs every page in `pages` (deduplicated). Individual failures do
@@ -139,8 +140,7 @@ class RecoveryScheduler : public PageRepairer {
   /// copy, in-log image, or the format record of a page born after the
   /// backup, which the backup does not contain) load from that source
   /// instead. All per-page chains are then replayed through one
-  /// shared-segment cluster walk. Always runs batched regardless of the
-  /// batch_repair toggle.
+  /// shared-segment cluster walk.
   StatusOr<BatchRepairResult> RepairBatchFromBackup(
       std::vector<PageId> pages, BackupId backup,
       PartialRestoreBreakdown* breakdown = nullptr);
@@ -152,11 +152,6 @@ class RecoveryScheduler : public PageRepairer {
   /// startup; not thread-safe vs. in-flight batches.
   void SetArchive(LogArchiver* archive) { archive_ = archive; }
 
-  /// Runtime toggle for the batched-vs-serial comparison (bench E8/E9).
-  void set_batch_repair(bool on);
-  /// Current value of the batched-repair toggle.
-  bool batch_repair() const;
-
   /// Cumulative counters snapshot.
   RecoverySchedulerStats stats() const;
   /// Zeroes the cumulative counters.
@@ -167,17 +162,24 @@ class RecoveryScheduler : public PageRepairer {
   class WorkerPool;
 
   /// Builds the deduplicated task list and bumps the request counters.
-  /// Caller must hold batch_mu_.
-  std::vector<PageTask> PrepareBatch(std::vector<PageId>* pages, bool* batched);
+  std::vector<PageTask> PrepareBatch(std::vector<PageId>* pages);
+
+  /// The worker pool, spawned on first use.
+  WorkerPool* BatchWorkers() SPF_REQUIRES(batch_mu_);
+  /// Runs fn(0) .. fn(count - 1) on `workers`, or inline when null.
+  static void ForEach(WorkerPool* workers, size_t count,
+                      const std::function<void(size_t)>& fn);
 
   StatusOr<BatchRepairResult> RepairBatchImpl(std::vector<PageId> pages,
                                               bool notify_sink);
 
-  BatchRepairResult RepairSerial(std::vector<PageTask>* tasks);
-  BatchRepairResult RepairBatched(std::vector<PageTask>* tasks);
+  /// The repair phases over `tasks`; `workers` null runs them inline.
+  BatchRepairResult RepairBatched(std::vector<PageTask>* tasks,
+                                  WorkerPool* workers);
   BatchRepairResult RestoreBatched(std::vector<PageTask>* tasks,
                                    BackupId backup,
-                                   PartialRestoreBreakdown* breakdown);
+                                   PartialRestoreBreakdown* breakdown,
+                                   WorkerPool* workers);
 
   /// Phase 0 (shared): PRI lookups + frame allocation. `anchor_only`
   /// (partial restore) tolerates entries whose backup reference was lost.
@@ -187,7 +189,7 @@ class RecoveryScheduler : public PageRepairer {
   /// returns the number of clusters walked.
   size_t WalkClusters(std::vector<PageTask>* tasks, uint64_t* fetches);
   /// Phase 3 (shared): applies collected chains, verifies, heals.
-  void ApplyPhase(std::vector<PageTask>* tasks);
+  void ApplyPhase(std::vector<PageTask>* tasks, WorkerPool* workers);
   /// Outcome collection (shared): merges per-task stats, publishes the
   /// amortized per-page cost, fills the result.
   BatchRepairResult CollectOutcomes(std::vector<PageTask>* tasks,
@@ -211,15 +213,14 @@ class RecoveryScheduler : public PageRepairer {
 
   SinglePageRecovery* const spr_;
   LogArchiver* archive_ = nullptr;  ///< optional sorted-run chain source
-  RecoverySchedulerOptions options_;
+  const RecoverySchedulerOptions options_;
   /// Receives the unrepairable page ids of a completed RepairBatch.
   std::function<void(std::vector<PageId>)> escalation_sink_;
-  /// Created on first batched repair (guarded by batch_mu_).
-  std::unique_ptr<WorkerPool> workers_;
-
   OrderedMutex batch_mu_{LockRank::kRepairBatch};  ///< one batch in flight
+  /// Created by the first batch.
+  std::unique_ptr<WorkerPool> workers_ SPF_GUARDED_BY(batch_mu_);
 
-  mutable OrderedMutex stats_mu_{LockRank::kStats};  ///< stats_ + options_
+  mutable OrderedMutex stats_mu_{LockRank::kStats};  ///< guards stats_
   RecoverySchedulerStats stats_ SPF_GUARDED_BY(stats_mu_);
 };
 

@@ -3,7 +3,7 @@
 #include <cstring>
 #include <vector>
 
-#include "btree/btree_log.h"
+#include "recovery/page_redo.h"
 
 namespace spf {
 
@@ -15,9 +15,7 @@ SinglePageRecovery::SinglePageRecovery(PriManager* pri_manager,
       backups_(backups),
       data_device_(data_device),
       clock_(clock),
-      page_size_(data_device->page_size()),
-      default_source_(std::make_unique<TailLogSource>(log)),
-      source_(default_source_.get()) {}
+      page_size_(data_device->page_size()) {}
 
 StatusOr<PriEntry> SinglePageRecovery::LookupEntry(PageId id) const {
   auto entry_or = pri_manager_->pri()->Lookup(id);
@@ -84,13 +82,14 @@ Status SinglePageRecovery::LoadBackupImage(PageId id, const PriEntry& entry,
         return Status::Corruption("format-record backup reference is wrong");
       }
       std::memset(frame, 0, page_size_);
-      PageView page(frame, page_size_);
-      SPF_RETURN_IF_ERROR(btree_log::RedoBTreeRecord(rec, page));
-      // Formatting anchored the per-page chain at this record.
-      page.set_page_lsn(rec.lsn);
-      // The live format bumped once when the record was logged; match it
-      // so the rebuilt image is byte-identical.
-      page.bump_update_count();
+      // Formatting anchors the per-page chain at this record; the redo
+      // rule stamps its LSN and the update_count bump the live format
+      // made, so the rebuilt image is byte-identical.
+      SPF_ASSIGN_OR_RETURN(bool applied,
+                           ApplyPageRedo(rec, PageView(frame, page_size_)));
+      if (!applied) {
+        return Status::Corruption("format-record backup was not applied");
+      }
       break;
     }
     case BackupKind::kNone:
@@ -101,30 +100,6 @@ Status SinglePageRecovery::LoadBackupImage(PageId id, const PriEntry& entry,
   return Status::OK();
 }
 
-Status SinglePageRecovery::ReplayChain(PageId id, const PriEntry& entry,
-                                       char* frame,
-                                       SinglePageRecoveryStats* acc) {
-  PageView page(frame, page_size_);
-  Lsn backup_lsn = page.page_lsn();
-  Lsn target = entry.last_lsn;
-  if (target == kInvalidLsn || target <= backup_lsn) {
-    // Not updated since the backup — the image is current.
-    return Status::OK();
-  }
-
-  // Figure 10 steps 3-4: collect the chain on a LIFO stack (from the
-  // wired LogSource — tail walk, or tail walk + sorted-run probe), then
-  // pop and apply the redo actions.
-  std::vector<LogRecord> stack;
-  LogSourceStats fetch;
-  SPF_RETURN_IF_ERROR(source_->FetchChain(id, backup_lsn, target, &stack,
-                                          &fetch));
-  acc->log_reads += fetch.log_reads;
-  acc->archive_reads += fetch.archive_reads;
-
-  return ApplyChain(&stack, frame, acc);
-}
-
 Status SinglePageRecovery::ApplyChain(std::vector<LogRecord>* chain,
                                       char* frame,
                                       SinglePageRecoveryStats* acc) {
@@ -132,19 +107,13 @@ Status SinglePageRecovery::ApplyChain(std::vector<LogRecord>* chain,
   while (!chain->empty()) {
     LogRecord rec = std::move(chain->back());
     chain->pop_back();
-    // Defensive redo-sequence check (section 5.1.4): the chain pointer in
-    // the record must equal the PageLSN the page has right now.
-    if (rec.page_prev_lsn != page.page_lsn()) {
-      return Status::Corruption("redo sequence check failed (PageLSN " +
-                                std::to_string(page.page_lsn()) +
-                                ", expected " +
-                                std::to_string(rec.page_prev_lsn) + ")");
+    SPF_ASSIGN_OR_RETURN(bool applied, ApplyPageRedo(rec, page));
+    if (!applied) {
+      return Status::Corruption(
+          "per-page chain record " + std::to_string(rec.lsn) +
+          " is not above the backup's PageLSN " +
+          std::to_string(page.page_lsn()));
     }
-    SPF_RETURN_IF_ERROR(btree_log::RedoBTreeRecord(rec, page));
-    page.set_page_lsn(rec.lsn);
-    // The live path bumps once per logged page record (AppendPageRecord);
-    // redo must do the same for the replayed image to be byte-identical.
-    page.bump_update_count();
     acc->log_records_applied++;
     acc->last_chain_length++;
   }
@@ -185,31 +154,6 @@ Status SinglePageRecovery::FinishRepair(PageId id, const PriEntry& entry,
   acc->repairs_succeeded++;
   acc->last_backup_kind = entry.backup.kind;
   return Status::OK();
-}
-
-Status SinglePageRecovery::RepairPage(PageId id, char* frame) {
-  SimTimer timer(clock_);
-  SinglePageRecoveryStats acc;
-  acc.repairs_attempted++;
-
-  auto run = [&]() -> Status {
-    SPF_ASSIGN_OR_RETURN(PriEntry entry, LookupEntry(id));
-    SPF_RETURN_IF_ERROR(LoadBackupImage(id, entry, frame, &acc));
-    SPF_RETURN_IF_ERROR(ReplayChain(id, entry, frame, &acc));
-    SPF_RETURN_IF_ERROR(FinishRepair(id, entry, frame, &acc));
-    return Status::OK();
-  };
-
-  Status s = run();
-  if (s.ok()) {
-    acc.last_sim_ns = timer.ElapsedNanos();
-    NoteLastRepair(acc.last_chain_length, acc.last_sim_ns,
-                   acc.last_backup_kind);
-  } else {
-    acc.escalations++;
-  }
-  MergeStats(acc, id);
-  return Escalate(id, s);
 }
 
 void SinglePageRecovery::MergeStats(const SinglePageRecoveryStats& acc,

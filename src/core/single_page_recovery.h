@@ -7,33 +7,34 @@
 //      image, or the page's formatting log record) into the buffer frame;
 //   3. follow the per-page log chain from the PRI's PageLSN back to the
 //      backup, pushing record pointers onto a last-in-first-out stack;
-//   4. pop and apply the "redo" actions in order, with the defensive
-//      check that each record's page_prev_lsn equals the current PageLSN
-//      (section 5.1.4);
+//   4. pop and apply the "redo" actions in order through ApplyPageRedo,
+//      the redo rule restart redo and media restore share, with the
+//      defensive check that each record's page_prev_lsn equals the
+//      current PageLSN (section 5.1.4);
 //   5. verify the result; the page is up to date in the buffer pool and
 //      the affected transaction merely waited — no abort.
 // If anything fails, the error escalates (the caller treats it as a media
 // failure, exactly the paper's fallback).
 //
-// Concurrency: the repair procedure itself only touches thread-safe
+// This class holds the per-page steps (1, 2, 4 and 5) and the cumulative
+// counters. The RecoveryScheduler drives them: it collects the chains of
+// step 3 from shared log segments and archive runs, for a batch of pages
+// or for the read path's batch of one. The steps only touch thread-safe
 // components (PRI, log, backups, device), so many repairs may run at
-// once. The cumulative counters are sharded by page id so concurrent
-// repairs do not serialize on one stats mutex; the RecoveryScheduler
-// drives the sharded pieces (LoadBackupImage / ReplayChain / FinishRepair)
-// directly when it repairs a whole batch of pages coordinately.
+// once; the counters are sharded by page id so concurrent repairs do not
+// serialize on one stats mutex.
 
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "backup/backup_manager.h"
 #include "buffer/buffer_pool.h"
 #include "common/sync.h"
 #include "core/pri_manager.h"
 #include "log/log_manager.h"
-#include "log/log_source.h"
 #include "storage/sim_device.h"
 
 namespace spf {
@@ -55,8 +56,8 @@ struct SinglePageRecoveryStats {
   BackupKind last_backup_kind = BackupKind::kNone;
 };
 
-/// PageRepairer implementation plugged into the buffer pool (Figure 8).
-class SinglePageRecovery : public PageRepairer {
+/// The per-page steps of Figure 10 and their counters.
+class SinglePageRecovery {
  public:
   SinglePageRecovery(PriManager* pri_manager, LogManager* log,
                      BackupManager* backups, SimDevice* data_device,
@@ -64,18 +65,10 @@ class SinglePageRecovery : public PageRepairer {
 
   SPF_DISALLOW_COPY(SinglePageRecovery);
 
-  /// Rebuilds page `id` into `frame` from its backup plus the per-page
-  /// log chain, then writes the healed image back to the device (healing
-  /// transient faults in place). Returns MediaFailure when escalation is
-  /// the only option. Thread-safe; concurrent repairs of distinct pages
-  /// proceed in parallel.
-  Status RepairPage(PageId id, char* frame) override;
-
-  // --- building blocks for the batched RecoveryScheduler ---------------------
-  //
-  // Each accumulates its I/O counters into `*acc` (a caller-local stats
-  // struct) instead of the shared shards; the caller merges once with
-  // MergeStats. This keeps a batch's worth of repairs off any shared lock.
+  // Each step accumulates its I/O counters into `*acc` (a caller-local
+  // stats struct) instead of the shared shards; the caller merges once
+  // with MergeStats. This keeps a batch's worth of repairs off any shared
+  // lock.
 
   /// PRI lookup; MediaFailure if the index knows nothing about the page.
   StatusOr<PriEntry> LookupEntry(PageId id) const;
@@ -88,23 +81,10 @@ class SinglePageRecovery : public PageRepairer {
   Status LoadBackupImage(PageId id, const PriEntry& entry, char* frame,
                          SinglePageRecoveryStats* acc);
 
-  /// Steps 3-4: fetches the per-page chain from the wired LogSource and
-  /// replays it. With the default TailLogSource this is the serial
-  /// per-record random-read baseline; with an ArchiveLogSource the
-  /// archived prefix arrives as sequential run reads.
-  Status ReplayChain(PageId id, const PriEntry& entry, char* frame,
-                     SinglePageRecoveryStats* acc);
-
-  /// Rewires where chains come from (nullptr restores the built-in tail
-  /// walk). Call during database assembly, before repairs can run.
-  void SetLogSource(LogSource* source) {
-    source_ = source != nullptr ? source : default_source_.get();
-  }
-
-  /// Step 4 alone: pops a collected chain (newest-first LIFO) and applies
-  /// the redo actions with the defensive redo-sequence check. Consumes
-  /// `*chain`. Shared by ReplayChain and the scheduler's batched walk so
-  /// serial and batched repair can never diverge here.
+  /// Step 4: pops a collected chain (newest-first LIFO) and applies each
+  /// record through ApplyPageRedo. A record the page already reflects
+  /// cannot be on a chain above the backup, so a skip is Corruption, as
+  /// is a failed redo-sequence check. Consumes `*chain`.
   Status ApplyChain(std::vector<LogRecord>* chain, char* frame,
                     SinglePageRecoveryStats* acc);
 
@@ -126,10 +106,8 @@ class SinglePageRecovery : public PageRepairer {
   SinglePageRecoveryStats stats() const;  ///< aggregated over all shards
   void ResetStats();
 
-  PriManager* pri_manager() const { return pri_manager_; }
   LogManager* log() const { return log_; }
   BackupManager* backups() const { return backups_; }
-  SimDevice* data_device() const { return data_device_; }
   SimClock* clock() const { return clock_; }
   uint32_t page_size() const { return page_size_; }
 
@@ -146,9 +124,6 @@ class SinglePageRecovery : public PageRepairer {
   SimDevice* const data_device_;
   SimClock* const clock_;
   const uint32_t page_size_;
-
-  std::unique_ptr<TailLogSource> default_source_;
-  LogSource* source_;  // never null; defaults to default_source_
 
   StatShard shards_[kStatShards];
   mutable OrderedMutex last_mu_{LockRank::kStats};  // last_* snapshot

@@ -86,9 +86,8 @@ void Database::BuildVolatileState() {
   funnel_.reset();
   scheduler_.reset();
   // The archiver's drain thread reads the old log manager; stop and drop
-  // it (and the LogSource over it) before the log is replaced below.
+  // it before the log is replaced below.
   if (archiver_ != nullptr) archiver_->Stop();
-  log_source_.reset();
   archiver_.reset();
 
   // Destroy the old manager FIRST: its destructor publishes any staged
@@ -170,16 +169,15 @@ void Database::BuildVolatileState() {
 
   RecoverySchedulerOptions rs_opts;
   rs_opts.num_workers = options_.recovery_workers;
-  rs_opts.batch_repair = options_.batch_repair;
   scheduler_ = std::make_unique<RecoveryScheduler>(spr_.get(), rs_opts);
 
   // Sorted log archive: the background drain of the durable log into
   // (page-id, LSN)-sorted runs. The archive volume models stable storage
   // (it survives crashes); Recover() re-reads its directory so runs
   // published before the crash keep serving repairs. Every log consumer
-  // below reads archived history through it: single-page repair via the
-  // ArchiveLogSource, batch repair via the scheduler's range merge, and
-  // full restore via MediaRecovery's per-segment run fetch.
+  // below reads archived history through it: page repair via the
+  // scheduler's range merge, and full restore via MediaRecovery's
+  // per-segment run fetch.
   ArchiverOptions ar;
   ar.run_bytes = options_.archive_run_bytes;
   ar.interval_wall_ms =
@@ -189,8 +187,6 @@ void Database::BuildVolatileState() {
   RestoreGate* gate = restore_gate_.get();
   archiver_->SetRestorePause([gate] { return gate->active(); });
   SPF_CHECK_OK(archiver_->Recover());
-  log_source_ = std::make_unique<ArchiveLogSource>(archiver_.get(), log_.get());
-  spr_->SetLogSource(log_source_.get());
   scheduler_->SetArchive(archiver_.get());
 
   // Wire the hooks (Figure 8 read path; Figure 11 write path). All repair

@@ -51,7 +51,6 @@
 #include "db/write_batch.h"
 #include "log/log_archive.h"
 #include "log/log_manager.h"
-#include "log/log_source.h"
 #include "recovery/checkpoint.h"
 #include "recovery/media_recovery.h"
 #include "recovery/restart_recovery.h"
@@ -95,11 +94,6 @@ struct DatabaseOptions {
   /// Worker threads the RecoveryScheduler fans batched repairs out to
   /// (0 = repair inline on the requesting thread).
   uint32_t recovery_workers = 4;
-  /// Coordinated batch repair: failed pages are grouped by backup source
-  /// and overlapping log-chain ranges, and shared log segments are read
-  /// once per batch instead of once per page. When false, a batch
-  /// degrades to serial per-page repair (bench E8's baseline axis).
-  bool batch_repair = true;
   /// Background scrubber cadence in SIMULATED time: a started scrubber
   /// (scrubber()->Start()) re-sweeps `scrub_pages_per_tick` pages whenever
   /// this much simulated time has passed. Zero ticks continuously.
@@ -516,10 +510,8 @@ class Database {
   std::unique_ptr<RecoveryCoordinator> funnel_;
   std::unique_ptr<Scrubber> scrubber_;
   // The archiver drains log_, so it is declared after it (destroyed
-  // first); the ArchiveLogSource is what spr_ reads archived history
-  // through.
+  // first).
   std::unique_ptr<LogArchiver> archiver_;
-  std::unique_ptr<ArchiveLogSource> log_source_;
   PriLayout layout_;
   // Serializes rung-5 climbs: a manual RecoverMedia must not overlap a
   // funnel-driven one (the RestoreGate supports one sweep at a time).

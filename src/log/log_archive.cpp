@@ -401,41 +401,6 @@ StatusOr<uint64_t> LogArchiver::StreamRun(
   return pages;
 }
 
-StatusOr<uint64_t> LogArchiver::FetchPageChain(PageId id,
-                                               Lsn min_lsn_exclusive,
-                                               Lsn max_lsn_inclusive,
-                                               std::vector<LogRecord>* out) {
-  ReaderLock io(io_mu_);
-  // runs_ only mutates under the io_mu_ writer, so the shared lock pins it.
-  std::vector<const Run*> hits;
-  for (const Run& r : runs_) {
-    if (r.info.record_count == 0) continue;
-    if (r.info.min_page_id > id || r.info.max_page_id < id) continue;
-    if (r.info.max_lsn <= min_lsn_exclusive) continue;
-    if (r.info.min_lsn > max_lsn_inclusive) continue;
-    hits.push_back(&r);
-  }
-  // Disjoint log intervals: log order == LSN order across runs, so
-  // concatenating per-run (already LSN-ascending) results stays ascending.
-  std::sort(hits.begin(), hits.end(), [](const Run* a, const Run* b) {
-    return a->info.log_start < b->info.log_start;
-  });
-  uint64_t pages = 0;
-  for (const Run* r : hits) {
-    SPF_ASSIGN_OR_RETURN(
-        uint64_t n, StreamRun(*r, id, id, min_lsn_exclusive,
-                              [&](LogRecord&& rec) {
-                                if (rec.lsn <= max_lsn_inclusive) {
-                                  out->push_back(std::move(rec));
-                                }
-                              }));
-    pages += n;
-  }
-  MutexLock g(mu_);
-  stats_.merge_reads += pages;
-  return pages;
-}
-
 StatusOr<uint64_t> LogArchiver::FetchRange(
     PageId lo, PageId hi, Lsn min_lsn_exclusive,
     const std::function<void(LogRecord&&)>& emit) {

@@ -45,10 +45,10 @@
 // min(archived_upto, master record): archived AND checkpointed ⇒
 // recyclable (bookkeeping only; see LogManager).
 //
-// Thread safety: consumers (FetchPageChain / FetchRange) may run
-// concurrently with each other and with the background tick; run writes
-// and directory publishes take the writer side of one RW lock so a
-// reader never observes a half-written extent.
+// Thread safety: consumers (FetchRange) may run concurrently with each
+// other and with the background tick; run writes and directory publishes
+// take the writer side of one RW lock so a reader never observes a
+// half-written extent.
 
 #pragma once
 
@@ -167,14 +167,6 @@ class LogArchiver {
   /// lsn < archived_upto() is in some run. Never regresses (survives
   /// crashes via the directory).
   Lsn archived_upto() const;
-
-  /// Fetches page `id`'s archived history in (min_lsn_exclusive,
-  /// max_lsn_inclusive], ascending by LSN, as one positioned sequential
-  /// read per overlapping run. Appends to `*out`; returns the number of
-  /// archive data pages read.
-  StatusOr<uint64_t> FetchPageChain(PageId id, Lsn min_lsn_exclusive,
-                                    Lsn max_lsn_inclusive,
-                                    std::vector<LogRecord>* out);
 
   /// Streams every archived record of pages in [lo, hi] with
   /// lsn > min_lsn_exclusive through `emit`. Emission is run-major in

@@ -1,6 +1,8 @@
-// The per-page redo rule shared by restart redo and full media restore.
+// The per-page redo rule shared by every replay path: single-page repair
+// and partial restore (SinglePageRecovery::ApplyChain), full media
+// restore, restart redo, and the mirror baseline.
 //
-// Both replay a page's log records in LSN order onto an image that may
+// Each replays a page's log records in LSN order onto an image that may
 // already reflect some of them (a device image written before the crash,
 // or a backup image plus the records archived after it). One rule keeps
 // them byte-identical to the live path:

@@ -191,6 +191,46 @@ TEST(MirrorBaselineTest, CatchUpTracksPrincipal) {
   EXPECT_EQ(node.ValueAt(fr.slot), "v2");
 }
 
+TEST(MirrorBaselineTest, MirrorPagesMatchLiveImagesAfterRelocation) {
+  // The mirror replays with the redo rule every replay path shares: the
+  // relocation's kPageMigrate lands on the pointer owner and each applied
+  // record bumps update_count, so every data page matches the principal.
+  auto db = MakeDb();
+  Txn t = db->BeginTxn();
+  for (int i = 0; i < 1000; ++i) SPF_CHECK_OK(t.Insert(Key(i), "v"));
+  SPF_CHECK_OK(t.Commit());
+  SPF_CHECK_OK(db->FlushAll());
+
+  const uint64_t num_pages = FastOptions().num_pages;
+  SimDevice mirror_dev("mirror", kDefaultPageSize, num_pages,
+                       DeviceProfile::Instant(), db->clock());
+  MirrorBaseline mirror(db->log(), &mirror_dev, db->clock());
+  ASSERT_TRUE(mirror.SeedFromPrincipal(db->data_device()).ok());
+
+  auto moved = db->RelocatePage(*db->LeafPageOf(Key(500)));
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  t = db->BeginTxn();
+  SPF_CHECK_OK(t.Update(Key(500), "after-move"));
+  SPF_CHECK_OK(t.Commit());
+  SPF_CHECK_OK(db->FlushAll());
+  db->log()->ForceAll();
+  ASSERT_TRUE(mirror.CatchUp().ok());
+
+  const PriLayout& layout = db->pri_manager()->layout();
+  PageBuffer live(kDefaultPageSize);
+  PageBuffer mirrored(kDefaultPageSize);
+  uint64_t compared = 0;
+  for (PageId p = layout.reserved_prefix(); p < num_pages; ++p) {
+    if (!db->allocator()->IsAllocated(p) || layout.IsPriPage(p)) continue;
+    db->data_device()->RawRead(p, live.data());
+    mirror_dev.RawRead(p, mirrored.data());
+    EXPECT_EQ(std::memcmp(live.data(), mirrored.data(), kDefaultPageSize), 0)
+        << "page " << p << " differs from the live image";
+    compared++;
+  }
+  EXPECT_GT(compared, 3u);
+}
+
 TEST(MirrorBaselineTest, RepairWithoutSeedFails) {
   auto db = MakeDb();
   SimDevice mirror_dev("mirror", kDefaultPageSize, 2048,
@@ -232,7 +272,7 @@ TEST(SinglePageRecoveryEdgeTest, UnknownPageEscalates) {
   auto db = MakeDb();
   PageBuffer frame(kDefaultPageSize);
   // A page the PRI has never heard of: escalation, not a crash.
-  Status s = db->single_page_recovery()->RepairPage(1500, frame.data());
+  Status s = db->recovery_scheduler()->RepairPage(1500, frame.data());
   EXPECT_TRUE(s.IsMediaFailure()) << s.ToString();
   EXPECT_EQ(db->single_page_recovery()->stats().escalations, 1u);
 }

@@ -10,9 +10,9 @@
 #include <cstring>
 #include <map>
 
+#include "bench_util.h"
 #include "db/database.h"
 #include "log/log_archive.h"
-#include "log/log_source.h"
 
 namespace spf {
 namespace {
@@ -129,26 +129,26 @@ TEST(LogArchiveTest, ArchiveRepairByteIdenticalToTailOnlyRepair) {
   SinglePageRecovery* spr = db->single_page_recovery();
 
   // Baseline: tail-only chain walk (one random log read per record).
-  spr->SetLogSource(nullptr);
   ASSERT_TRUE(db->pool()->DiscardPage(p));
   db->data_device()->InjectSilentCorruption(p);
   std::vector<char> tail_repaired(page_size);
-  ASSERT_TRUE(spr->RepairPage(p, tail_repaired.data()).ok());
+  ASSERT_TRUE(
+      bench::RepairPagePerRecord(db.get(), p, tail_repaired.data()).ok());
   EXPECT_EQ(std::memcmp(tail_repaired.data(), ref.data(), page_size), 0);
 
-  // Archive everything, then repair the same page through the sorted
-  // runs: positioned sequential archive reads replace the chain walk and
-  // the result must be byte-identical.
+  // Archive everything, then repair the same page as the read path does:
+  // its chain lies below the archive watermark, so positioned sequential
+  // archive reads replace the chain walk and the result must be
+  // byte-identical.
   ASSERT_TRUE(db->archiver()->ArchiveAll().ok());
   ASSERT_GT(db->archiver()->archived_upto(), 0u);
-  ArchiveLogSource archive_source(db->archiver(), db->log());
-  spr->SetLogSource(&archive_source);
   const uint64_t archive_reads_before = spr->stats().archive_reads;
 
   ASSERT_TRUE(db->pool()->DiscardPage(p));
   db->data_device()->InjectSilentCorruption(p);
   std::vector<char> archive_repaired(page_size);
-  ASSERT_TRUE(spr->RepairPage(p, archive_repaired.data()).ok());
+  ASSERT_TRUE(
+      db->recovery_scheduler()->RepairPage(p, archive_repaired.data()).ok());
 
   EXPECT_GT(spr->stats().archive_reads, archive_reads_before)
       << "repair did not touch the archive";
@@ -156,7 +156,6 @@ TEST(LogArchiveTest, ArchiveRepairByteIdenticalToTailOnlyRepair) {
   EXPECT_EQ(std::memcmp(archive_repaired.data(), tail_repaired.data(),
                         page_size),
             0);
-  spr->SetLogSource(nullptr);  // archive_source dies with this scope
 }
 
 TEST(LogArchiveTest, MergeLadderBoundsRunCountAndKeepsTiling) {

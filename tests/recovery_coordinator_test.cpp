@@ -55,6 +55,15 @@ std::vector<std::string> SnapshotPages(Database* db,
   return images;
 }
 
+/// A key MakeChainedDb updated that lives on leaf `page`, or "" if none.
+std::string KeyOnLeaf(Database* db, PageId page) {
+  for (int i = 0; i < kRecords; i += 150) {
+    auto leaf = db->LeafPageOf(Key(i));
+    if (leaf.ok() && *leaf == page) return Key(i);
+  }
+  return "";
+}
+
 /// Spin until `pred` holds or `sec` wall seconds elapse.
 template <typename Pred>
 bool WaitFor(Pred pred, int sec = 30) {
@@ -112,15 +121,7 @@ TEST(RecoveryCoordinatorTest, ForegroundReadSelfHeals) {
   ASSERT_NE(db->funnel(), nullptr);
 
   PageId victim = victims.front();
-  std::string key;
-  for (int i = 0; i < kRecords; i += 150) {
-    auto leaf = db->LeafPageOf(Key(i));
-    ASSERT_TRUE(leaf.ok());
-    if (*leaf == victim) {
-      key = Key(i);
-      break;
-    }
-  }
+  std::string key = KeyOnLeaf(db.get(), victim);
   ASSERT_FALSE(key.empty());
   db->pool()->DiscardAll();
 
@@ -358,6 +359,44 @@ TEST(RecoveryCoordinatorTest, AutoEscalateOffMeansNoFunnel) {
   ASSERT_TRUE(scrub.ok()) << scrub.status().ToString();
   EXPECT_EQ(scrub->pages_repaired, 1u);
   EXPECT_EQ(db->Stats().scheduler.single_repairs, 0u);
+}
+
+// The read path's inline repair is the scheduler's batch of one. It runs
+// as the pool's repairer when auto_escalate is off, and as the funnel's
+// fallback when a report is rejected (a stopped funnel answers Busy).
+// Either way the reader gets the committed value, the device copy heals
+// byte for byte, and no batch runs.
+TEST(RecoveryCoordinatorTest, InlineRepairIsABatchOfOne) {
+  for (bool funnel_stopped : {false, true}) {
+    SCOPED_TRACE(funnel_stopped ? "funnel stopped" : "auto_escalate off");
+    DatabaseOptions options = FastOptions();
+    options.auto_escalate = funnel_stopped;
+    std::vector<PageId> victims;
+    auto db = MakeChainedDb(options, &victims);
+    if (funnel_stopped) {
+      ASSERT_NE(db->funnel(), nullptr);
+      db->funnel()->Stop();
+    } else {
+      ASSERT_EQ(db->funnel(), nullptr);
+    }
+
+    PageId victim = victims.front();
+    std::string key = KeyOnLeaf(db.get(), victim);
+    ASSERT_FALSE(key.empty());
+    db->pool()->DiscardAll();
+    std::string before = SnapshotPages(db.get(), {victim}).front();
+    RecoverySchedulerStats sched_before = db->recovery_scheduler()->stats();
+    db->data_device()->InjectSilentCorruption(victim);
+
+    auto v = db->Get(key);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    EXPECT_EQ(*v, "r3");  // MakeChainedBurstDb's last round
+    EXPECT_EQ(SnapshotPages(db.get(), {victim}).front(), before)
+        << "device copy not byte-identical after the inline repair";
+    RecoverySchedulerStats sched_after = db->recovery_scheduler()->stats();
+    EXPECT_EQ(sched_after.single_repairs, sched_before.single_repairs + 1);
+    EXPECT_EQ(sched_after.batches, sched_before.batches);
+  }
 }
 
 // The wall-clock cadence option: under Instant profiles (simulated time

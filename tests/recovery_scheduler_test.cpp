@@ -1,8 +1,8 @@
 // Tests for the batched RecoveryScheduler and the background Scrubber:
-// batched multi-page repair must be byte-identical to serial repair, must
-// read shared log segments instead of one random read per chain record,
-// and a background sweep must heal cold-page faults no foreground read
-// would ever touch.
+// batched multi-page repair must be byte-identical to the paper's serial
+// per-record repair (bench::RepairPagesPerRecord), must read shared log
+// segments instead of one random read per chain record, and a background
+// sweep must heal cold-page faults no foreground read would ever touch.
 
 #include <gtest/gtest.h>
 
@@ -68,16 +68,12 @@ TEST(RecoverySchedulerTest, BatchedRepairMatchesSerialByteForByte) {
 
   // Serial baseline.
   CorruptAll(db.get(), victims);
-  db->recovery_scheduler()->set_batch_repair(false);
-  auto serial = db->RepairPages(victims);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  EXPECT_EQ(serial->repaired, victims.size());
-  EXPECT_EQ(serial->failed, 0u);
+  Status serial = bench::RepairPagesPerRecord(db.get(), victims);
+  ASSERT_TRUE(serial.ok()) << serial.ToString();
   std::vector<std::string> serial_images = SnapshotPages(db.get(), victims);
 
   // Batched repair of the identical damage.
   CorruptAll(db.get(), victims);
-  db->recovery_scheduler()->set_batch_repair(true);
   auto batched = db->RepairPages(victims);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
   EXPECT_EQ(batched->repaired, victims.size());
@@ -103,9 +99,8 @@ TEST(RecoverySchedulerTest, BatchReadsSharedSegmentsNotPerRecord) {
 
   // Serial baseline: one random log read per chain record.
   CorruptAll(db.get(), victims);
-  db->recovery_scheduler()->set_batch_repair(false);
   spr->ResetStats();
-  ASSERT_TRUE(db->RepairPages(victims).ok());
+  ASSERT_TRUE(bench::RepairPagesPerRecord(db.get(), victims).ok());
   SinglePageRecoveryStats serial = spr->stats();
   ASSERT_EQ(serial.repairs_succeeded, victims.size());
   // Every page was updated after its backup, so chains are non-trivial
@@ -116,7 +111,6 @@ TEST(RecoverySchedulerTest, BatchReadsSharedSegmentsNotPerRecord) {
   // Batched: the same records must be applied, but the log is read in
   // shared segments — strictly fewer fetches than pages × chain_length.
   CorruptAll(db.get(), victims);
-  db->recovery_scheduler()->set_batch_repair(true);
   spr->ResetStats();
   db->recovery_scheduler()->ResetStats();
   ASSERT_TRUE(db->RepairPages(victims).ok());
