@@ -323,18 +323,16 @@ Status PriManager::RecoverPriWindow(uint64_t window) {
   return Status::OK();
 }
 
-Status PriManager::ApplyPriUpdateRecord(const LogRecord& rec) {
-  SPF_CHECK(rec.type == LogRecordType::kPriUpdate);
-  SPF_ASSIGN_OR_RETURN(PriUpdateBody body, DecodePriUpdate(rec.body));
+void PriManager::ApplyPriUpdate(PageId pri_page, Lsn lsn,
+                                const PriUpdateBody& body) {
   if (body.has_backup) {
     pri_->RecordBackup(body.data_page_id, body.backup);
   } else {
     pri_->RecordWrite(body.data_page_id, body.page_lsn);
   }
-  uint64_t window = layout_.WindowOfPriPage(rec.page_id);
+  uint64_t window = layout_.WindowOfPriPage(pri_page);
   MutexLock g(mu_);
-  if (rec.lsn > pri_page_lsns_[window]) pri_page_lsns_[window] = rec.lsn;
-  return Status::OK();
+  if (lsn > pri_page_lsns_[window]) pri_page_lsns_[window] = lsn;
 }
 
 PriManagerStats PriManager::stats() const {

@@ -114,9 +114,10 @@ class PriManager : public WriteCompletionListener {
   /// overlapping information.
   Status LoadAllWindows();
 
-  /// Applies one kPriUpdate log record to the in-memory PRI (restart
-  /// analysis; also redo of lost PRI updates, Figure 12).
-  Status ApplyPriUpdateRecord(const LogRecord& rec);
+  /// Applies one kPriUpdate log record — logged at `lsn` on PRI page
+  /// `pri_page`, with the decoded `body` — to the in-memory PRI (restart
+  /// analysis).
+  void ApplyPriUpdate(PageId pri_page, Lsn lsn, const PriUpdateBody& body);
 
   /// Records a full backup: collapses the PRI to range entries.
   void OnFullBackup(BackupId id);

@@ -219,11 +219,14 @@ Status PageLsnCrossCheck::VerifyOnRead(PageView page) {
     // plausible and we cannot cheaply bound it. Accept.
     return Status::OK();
   }
-  if (page.page_lsn() != entry.last_lsn) {
+  const Lsn page_lsn = page.page_lsn();
+  const bool lost_pri_update =
+      page_lsn > entry.last_lsn && page_lsn < log_->durable_lsn();
+  if (page_lsn != entry.last_lsn && !lost_pri_update) {
     mismatches_.fetch_add(1, std::memory_order_relaxed);
     return Status::Corruption(
         "PageLSN cross-check failed: page " + std::to_string(page.page_id()) +
-        " has PageLSN " + std::to_string(page.page_lsn()) +
+        " has PageLSN " + std::to_string(page_lsn) +
         " but the page recovery index certifies " +
         std::to_string(entry.last_lsn) + " (stale or forged page)");
   }

@@ -138,10 +138,17 @@ class SinglePageRecovery {
 /// index is an additional consistency check that could prevent the
 /// nightmare recounted in the introduction"). Catches stale pages whose
 /// in-page checksum is valid.
+///
+/// A PageLSN NEWER than the PRI certifies, but inside the durable log, is
+/// accepted: it is Figure 12's third row — the write completed and the
+/// crash lost its PriUpdate with the log tail. Such a page owes restart
+/// redo, and the load's redo regenerates the PriUpdate once
+/// (RedoPlan::Apply). An older PageLSN, or one past the durable log (an
+/// image no logged update can explain), fails the check.
 class PageLsnCrossCheck : public ReadVerifier {
  public:
-  explicit PageLsnCrossCheck(PriManager* pri_manager)
-      : pri_manager_(pri_manager) {}
+  PageLsnCrossCheck(PriManager* pri_manager, const LogManager* log)
+      : pri_manager_(pri_manager), log_(log) {}
 
   Status VerifyOnRead(PageView page) override;
 
@@ -152,6 +159,7 @@ class PageLsnCrossCheck : public ReadVerifier {
 
  private:
   PriManager* const pri_manager_;
+  const LogManager* const log_;
   std::atomic<uint64_t> checks_{0};
   std::atomic<uint64_t> mismatches_{0};
 };

@@ -165,7 +165,8 @@ void Database::BuildVolatileState() {
   spr_ = std::make_unique<SinglePageRecovery>(pri_manager_.get(), log_.get(),
                                               backups_.get(), data_.get(),
                                               &clock_);
-  cross_check_ = std::make_unique<PageLsnCrossCheck>(pri_manager_.get());
+  cross_check_ =
+      std::make_unique<PageLsnCrossCheck>(pri_manager_.get(), log_.get());
 
   RecoverySchedulerOptions rs_opts;
   rs_opts.num_workers = options_.recovery_workers;

@@ -1,6 +1,7 @@
 #include "log/log_manager.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/coding.h"
 
@@ -250,52 +251,66 @@ LogManager::Iterator::Iterator(const LogManager* log, Lsn start, Lsn end)
   ReadCurrent();
 }
 
+LogManager::Iterator::~Iterator() { PublishReads(); }
+
+void LogManager::Iterator::PublishReads() {
+  if (reads_ == 0) return;
+  MutexLock g(log_->mu_);
+  log_->stats_.records_read += reads_;
+  reads_ = 0;
+}
+
 void LogManager::Iterator::ReadCurrent() {
   // Records are parsed out of one window of sequential log bytes, so a
   // scan costs one device read per window rather than two per record.
   valid_ = false;
-  if (pos_ >= end_ || pos_ < log_->first_lsn() || !Cover(4)) return;
-  uint32_t total = DecodeFixed32(window_.data() + (pos_ - window_start_));
-  if (total < kLogRecordHeaderSize || total > kMaxRecordBytes ||
-      !Cover(total)) {
-    return;  // truncated/corrupt tail terminates the scan
+  if (pos_ < end_ && pos_ >= log_->first_lsn() && Cover(4)) {
+    const uint32_t total =
+        DecodeFixed32(window_.get() + (pos_ - window_start_));
+    // A truncated or corrupt tail record terminates the scan.
+    if (total >= kLogRecordHeaderSize && total <= kMaxRecordBytes &&
+        Cover(total)) {
+      raw_ = std::string_view(window_.get() + (pos_ - window_start_), total);
+      valid_ = ParseLogRecord(raw_, &rec_).ok();
+    }
   }
-  raw_ = std::string_view(window_).substr(pos_ - window_start_, total);
-  auto rec_or = ParseLogRecord(raw_);
-  if (!rec_or.ok()) return;
-  rec_ = std::move(rec_or).value();
+  if (!valid_) {
+    PublishReads();
+    return;
+  }
   rec_.lsn = pos_;
-  {
-    MutexLock g(log_->mu_);
-    log_->stats_.records_read++;
-  }
-  valid_ = true;
+  reads_++;
 }
 
 bool LogManager::Iterator::Cover(uint64_t n) {
-  const uint64_t have_end = window_start_ + window_.size();
+  const uint64_t have_end = window_start_ + window_len_;
   if (pos_ >= window_start_ && pos_ + n <= have_end) return true;
   // Keep the unparsed tail and read on from where the last read ended,
   // so the device sees one sequential stream.
-  uint64_t from = pos_;
-  if (pos_ >= window_start_ && pos_ < have_end) {
-    window_.erase(0, pos_ - window_start_);
-    from = have_end;
-  } else {
-    window_.clear();
-  }
-  window_start_ = pos_;
+  const uint64_t kept =
+      pos_ >= window_start_ && pos_ < have_end ? have_end - pos_ : 0;
+  const uint64_t from = pos_ + kept;
   // Never read past `end`: that would publish staged records early. A
   // record that straddles `end` is still read whole, as Read() would.
   const uint64_t limit = std::min(end_, log_->tail_lsn());
   uint64_t len = limit > from ? std::min(kWindowBytes, limit - from) : 0;
   len = std::max(len, pos_ + n - from);
-  const size_t kept = window_.size();
-  window_.resize(kept + len);
-  if (!log_->ReadRaw(from, len, window_.data() + kept).ok()) {
-    window_.clear();
-    return false;
+  const char* tail =
+      kept > 0 ? window_.get() + (pos_ - window_start_) : nullptr;
+  if (kept + len > window_cap_) {
+    // The buffer is left uninitialised: the read below overwrites it. It
+    // grows at most twice in a scan, unless a record outgrows a window.
+    window_cap_ = std::max(kept + len, 2 * window_cap_);
+    std::unique_ptr<char[]> grown(new char[window_cap_]);
+    if (kept > 0) std::memcpy(grown.get(), tail, kept);
+    window_ = std::move(grown);
+  } else if (kept > 0) {
+    std::memmove(window_.get(), tail, kept);
   }
+  window_start_ = pos_;
+  window_len_ = kept;
+  if (!log_->ReadRaw(from, len, window_.get() + kept).ok()) return false;
+  window_len_ = kept + len;
   return true;
 }
 

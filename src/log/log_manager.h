@@ -27,6 +27,7 @@
 #include <chrono>
 #include <deque>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -176,12 +177,21 @@ class LogManager {
   /// Forward scan over [start_lsn, tail). Skips nothing; stops cleanly at
   /// the durable end or on a truncated/corrupt tail record (which marks the
   /// end of the log after a crash).
+  ///
+  /// A scan costs in proportion to the bytes it reads: one device read
+  /// per window into a buffer that is reused and never zero-filled, each
+  /// record parsed into one reused LogRecord, and no lock per record — the
+  /// records it returns reach LogStats::records_read once, when the scan
+  /// ends or the iterator is destroyed.
   class Iterator {
    public:
     Iterator(const LogManager* log, Lsn start, Lsn end);
+    ~Iterator();
+    SPF_DISALLOW_COPY(Iterator);
 
     /// False when the scan is exhausted.
     bool Valid() const { return valid_; }
+    /// The current record; valid until Next().
     const LogRecord& record() const { return rec_; }
     /// The current record's bytes as they lie in the log (what
     /// LogRecord::Serialize() would rebuild); valid until Next().
@@ -196,6 +206,8 @@ class LogManager {
     /// Makes log bytes [pos_, pos_ + n) available in window_, reading on
     /// from the window's end when they are not. False when unreadable.
     bool Cover(uint64_t n);
+    /// Adds the records returned since the last call to records_read.
+    void PublishReads();
 
     const LogManager* log_;
     Lsn pos_;
@@ -203,8 +215,12 @@ class LogManager {
     bool valid_ = false;
     LogRecord rec_;
     std::string_view raw_;  ///< rec_'s bytes inside window_
-    std::string window_;  ///< log bytes from window_start_ on
+    /// Log bytes [window_start_, window_start_ + window_len_).
+    std::unique_ptr<char[]> window_;
+    uint64_t window_cap_ = 0;
+    uint64_t window_len_ = 0;
     uint64_t window_start_ = 0;
+    uint64_t reads_ = 0;  ///< records returned, not yet in records_read
   };
 
   /// Scans from `start` to the current tail (or `end` if given).

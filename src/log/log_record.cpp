@@ -58,7 +58,7 @@ std::string LogRecord::Serialize() const {
   return out;
 }
 
-StatusOr<LogRecord> ParseLogRecord(std::string_view data) {
+Status ParseLogRecord(std::string_view data, LogRecord* rec) {
   if (data.size() < kLogRecordHeaderSize) {
     return Status::Corruption("log record truncated (header)");
   }
@@ -73,22 +73,27 @@ StatusOr<LogRecord> ParseLogRecord(std::string_view data) {
   if (crc32c::Unmask(masked_crc) != crc) {
     return Status::Corruption("log record crc mismatch");
   }
-  LogRecord rec;
-  rec.length = total;
-  rec.type = static_cast<LogRecordType>(data[off]);
-  rec.flags = static_cast<uint8_t>(data[off + 1]);
+  rec->length = total;
+  rec->type = static_cast<LogRecordType>(data[off]);
+  rec->flags = static_cast<uint8_t>(data[off + 1]);
   off += 4;  // type, flags, pad
-  GetFixed64(data, &off, &rec.txn_id);
-  GetFixed64(data, &off, &rec.prev_lsn);
-  GetFixed64(data, &off, &rec.page_id);
-  GetFixed64(data, &off, &rec.page_prev_lsn);
-  GetFixed64(data, &off, &rec.undo_next_lsn);
+  GetFixed64(data, &off, &rec->txn_id);
+  GetFixed64(data, &off, &rec->prev_lsn);
+  GetFixed64(data, &off, &rec->page_id);
+  GetFixed64(data, &off, &rec->page_prev_lsn);
+  GetFixed64(data, &off, &rec->undo_next_lsn);
   uint32_t body_len;
   GetFixed32(data, &off, &body_len);
   if (off + body_len > total) {
     return Status::Corruption("log record truncated (body)");
   }
-  rec.body.assign(data.data() + off, body_len);
+  rec->body.assign(data.data() + off, body_len);
+  return Status::OK();
+}
+
+StatusOr<LogRecord> ParseLogRecord(std::string_view data) {
+  LogRecord rec;
+  SPF_RETURN_IF_ERROR(ParseLogRecord(data, &rec));
   return rec;
 }
 

@@ -131,7 +131,12 @@ constexpr uint32_t kLogRecordHeaderSize =
     8 /*undo_next*/ + 4 /*body_len*/;
 
 /// Parses a record from `data` (which must start at the record's first
-/// byte and contain the whole record). Validates the CRC.
+/// byte and contain the whole record) into `*rec`, reusing the capacity
+/// of rec->body, so a scan parses every record into one LogRecord without
+/// allocating. Validates the CRC. Sets every field but rec->lsn.
+Status ParseLogRecord(std::string_view data, LogRecord* rec);
+
+/// As above, into a new record.
 StatusOr<LogRecord> ParseLogRecord(std::string_view data);
 
 }  // namespace spf

@@ -1,9 +1,10 @@
 #include "recovery/restart_recovery.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <chrono>
 
 #include "common/coding.h"
+#include "core/pri.h"
 #include "recovery/page_redo.h"
 
 namespace spf {
@@ -89,6 +90,75 @@ void RedoPlan::CopyRedoCounts(RestartStats* stats) const {
   stats->pages_repaired_during_redo = repaired_.load(std::memory_order_relaxed);
 }
 
+// --- RestartRecovery::LoserTable --------------------------------------------------
+
+size_t RestartRecovery::LoserTable::Probe(TxnId id) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = Home(id);
+  while (slots_[i].txn_id != id && slots_[i].txn_id != kInvalidTxnId) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+RestartRecovery::LoserInfo& RestartRecovery::LoserTable::FindOrInsert(
+    TxnId id) {
+  size_t i = Probe(id);
+  if (slots_[i].txn_id == id) return slots_[i];
+  if (2 * (size_ + 1) > slots_.size()) {
+    std::vector<LoserInfo> old(slots_.size() * 2);
+    old.swap(slots_);
+    shift_--;
+    for (const LoserInfo& e : old) {
+      if (e.txn_id != kInvalidTxnId) slots_[Probe(e.txn_id)] = e;
+    }
+    i = Probe(id);
+  }
+  size_++;
+  slots_[i] = LoserInfo();
+  slots_[i].txn_id = id;
+  return slots_[i];
+}
+
+void RestartRecovery::LoserTable::Erase(TxnId id) {
+  size_t hole = Probe(id);
+  if (slots_[hole].txn_id != id) return;
+  // Backward shift: move each later entry of the probe run into the hole
+  // unless its home lies cyclically in (hole, j].
+  const size_t mask = slots_.size() - 1;
+  for (size_t j = (hole + 1) & mask; slots_[j].txn_id != kInvalidTxnId;
+       j = (j + 1) & mask) {
+    if (((j - Home(slots_[j].txn_id)) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = LoserInfo();
+  size_--;
+}
+
+std::vector<RestartRecovery::LoserInfo> RestartRecovery::LoserTable::Sorted()
+    const {
+  std::vector<LoserInfo> out;
+  out.reserve(size_);
+  for (const LoserInfo& e : slots_) {
+    if (e.txn_id != kInvalidTxnId) out.push_back(e);
+  }
+  std::sort(out.begin(), out.end(), [](const LoserInfo& a, const LoserInfo& b) {
+    return a.txn_id < b.txn_id;
+  });
+  return out;
+}
+
+// --- RestartRecovery ----------------------------------------------------------------
+
+Status RestartRecovery::CheckPage(PageId id) const {
+  if (id < rec_lsn_.size()) return Status::OK();
+  return Status::Corruption("log record names page " + std::to_string(id) +
+                            " beyond the data device's " +
+                            std::to_string(rec_lsn_.size()) + " pages");
+}
+
 void RestartRecovery::Keep(const LogRecord& rec, std::string_view raw,
                            RedoPlan* plan) {
   kept_.push_back({rec.page_id,
@@ -97,10 +167,48 @@ void RestartRecovery::Keep(const LogRecord& rec, std::string_view raw,
   plan->arena_.append(raw);
 }
 
+void RestartRecovery::MarkDirty(PageId id, Lsn lsn) {
+  if (rec_lsn_[id] != kInvalidLsn) return;
+  rec_lsn_[id] = lsn;
+  dpt_size_++;
+  if (redo_scan_floor_ == kInvalidLsn || lsn < redo_scan_floor_) {
+    redo_scan_floor_ = lsn;
+  }
+}
+
+void RestartRecovery::Certify(PageId id, Lsn certified) {
+  // Figure 12: the certified write cancels recovery requirements up to
+  // the certified PageLSN. Implemented as raising the recLSN past it
+  // (records after the write still replay).
+  if (id < rec_lsn_.size() && rec_lsn_[id] != kInvalidLsn &&
+      rec_lsn_[id] <= certified) {
+    rec_lsn_[id] = certified + 1;
+  }
+}
+
+void RestartRecovery::ApplyPageEvents() {
+  for (const PageEvent& e : page_events_) {
+    if (e.format_lsn == kInvalidLsn) {
+      alloc_->MarkFree(e.page);
+      continue;
+    }
+    alloc_->MarkAllocated(e.page);
+    // The formatting record is the page's first backup source
+    // (section 5.2.1); re-register it in the PRI.
+    if (pri_manager_ != nullptr) {
+      pri_manager_->pri()->RecordBackup(
+          e.page, {BackupKind::kFormatRecord, e.format_lsn});
+    }
+  }
+  page_events_.clear();
+}
+
 StatusOr<RestartStats> RestartRecovery::Run(RedoPlan* plan) {
   RestartStats stats;
-  dpt_.clear();
-  losers_.clear();
+  rec_lsn_.assign(alloc_->capacity(), kInvalidLsn);
+  dpt_size_ = 0;
+  losers_ = LoserTable();
+  page_events_.clear();
   kept_.clear();
   redo_scan_floor_ = kInvalidLsn;
 
@@ -113,8 +221,15 @@ StatusOr<RestartStats> RestartRecovery::Run(RedoPlan* plan) {
 
   {
     SimTimer t(clock_);
+    auto wall = std::chrono::steady_clock::now();
     SPF_RETURN_IF_ERROR(Analysis(plan, &stats));
+    const auto analysed = std::chrono::steady_clock::now();
     SPF_RETURN_IF_ERROR(BuildPlan(plan, &stats));
+    stats.analysis_wall_seconds =
+        std::chrono::duration<double>(analysed - wall).count();
+    stats.plan_wall_seconds = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - analysed)
+                                  .count();
     stats.analysis_sim_seconds = t.ElapsedSeconds();
   }
   // From here on every page load applies the page's planned redo first —
@@ -132,19 +247,33 @@ Status RestartRecovery::Analysis(RedoPlan* plan, RestartStats* stats) {
   Lsn start = log_->GetMasterRecord();
   if (start == kInvalidLsn) start = log_->first_lsn();
   stats->analysis_start = start;
+  const Lsn end = log_->tail_lsn();
+  // The arena and the kept list are sized once from the scan span: a
+  // record is at least a header long, and only page records are kept.
+  const uint64_t span = end > start ? end - start : 0;
+  plan->arena_.reserve(span);
+  kept_.reserve(span / kLogRecordHeaderSize);
 
   // Transactions whose finish record (commit, or an abort's end) the scan
   // has already passed. A checkpoint's txn table is snapshotted before its
   // end record is appended, so a transaction that finished in that window
   // can appear in the table even though its finish record precedes the
-  // checkpoint record — without this set, the table would resurrect it as
-  // a loser and undo a committed transaction.
-  std::unordered_set<TxnId> finished;
+  // checkpoint record — without this list, the table would resurrect it
+  // as a loser and undo a committed transaction. Only checkpoint-end
+  // records search it.
+  std::vector<TxnId> finished;
+  // The id sequence resumes above every id the scan saw, raised once
+  // after the scan.
+  TxnId next_txn_id = kInvalidTxnId + 1;
 
-  for (auto it = log_->Scan(start); it.Valid(); it.Next()) {
+  for (auto it = log_->Scan(start, end); it.Valid(); it.Next()) {
     const LogRecord& rec = it.record();
     stats->analysis_records++;
-    if (IsPageReplayRecord(rec.type) && rec.page_id != kInvalidPageId) {
+    next_txn_id = std::max(next_txn_id, rec.txn_id + 1);
+    const bool page_redo =
+        IsPageReplayRecord(rec.type) && rec.page_id != kInvalidPageId;
+    if (page_redo) {
+      SPF_RETURN_IF_ERROR(CheckPage(rec.page_id));
       Keep(rec, it.raw(), plan);
     }
 
@@ -155,20 +284,17 @@ Status RestartRecovery::Analysis(RedoPlan* plan, RestartStats* stats) {
       switch (rec.type) {
         case LogRecordType::kCommitTxn:
         case LogRecordType::kEndTxn:
-          losers_.erase(rec.txn_id);
-          finished.insert(rec.txn_id);
+          losers_.Erase(rec.txn_id);
+          finished.push_back(rec.txn_id);
           break;
         default: {
-          LoserInfo& info = losers_[rec.txn_id];
+          LoserInfo& info = losers_.FindOrInsert(rec.txn_id);
           info.last_lsn = rec.lsn;
           info.undo_next = rec.type == LogRecordType::kCompensation
                                ? rec.undo_next_lsn
                                : rec.lsn;
           break;
         }
-      }
-      if (rec.txn_id != kInvalidTxnId) {
-        txns_->SetNextTxnId(rec.txn_id + 1);
       }
     }
 
@@ -177,50 +303,40 @@ Status RestartRecovery::Analysis(RedoPlan* plan, RestartStats* stats) {
         SPF_ASSIGN_OR_RETURN(CheckpointEndBody body,
                              CheckpointEndBody::Decode(rec.body));
         for (const auto& e : body.dpt) {
-          auto cur = dpt_.find(e.page_id);
-          if (cur == dpt_.end() || e.rec_lsn < cur->second) {
-            dpt_[e.page_id] = e.rec_lsn;
-          }
+          SPF_RETURN_IF_ERROR(CheckPage(e.page_id));
+          Lsn& cur = rec_lsn_[e.page_id];
+          if (cur == kInvalidLsn) dpt_size_++;
+          if (cur == kInvalidLsn || e.rec_lsn < cur) cur = e.rec_lsn;
           if (redo_scan_floor_ == kInvalidLsn || e.rec_lsn < redo_scan_floor_) {
             redo_scan_floor_ = e.rec_lsn;
           }
         }
         for (const auto& t : body.txn_table) {
-          if (t.is_system) continue;
-          if (finished.count(t.txn_id)) continue;
-          if (losers_.find(t.txn_id) == losers_.end()) {
-            LoserInfo info;
+          if (t.is_system || std::find(finished.begin(), finished.end(),
+                                       t.txn_id) != finished.end()) {
+            continue;
+          }
+          // A transaction the scan has seen log keeps what it logged.
+          LoserInfo& info = losers_.FindOrInsert(t.txn_id);
+          if (info.last_lsn == kInvalidLsn) {
             info.last_lsn = t.last_lsn;
             info.undo_next = t.last_lsn;
-            losers_[t.txn_id] = info;
           }
         }
+        ApplyPageEvents();
         SPF_RETURN_IF_ERROR(alloc_->Deserialize(body.allocator_image));
         SPF_RETURN_IF_ERROR(bbl_->Deserialize(body.bad_blocks_image));
-        txns_->SetNextTxnId(body.next_txn_id);
+        next_txn_id = std::max(next_txn_id, body.next_txn_id);
         break;
       }
       case LogRecordType::kPriUpdate: {
         stats->write_certifications_seen++;
-        Lsn certified = kInvalidLsn;
-        PageId data_page = kInvalidPageId;
+        SPF_ASSIGN_OR_RETURN(PriUpdateBody body, DecodePriUpdate(rec.body));
         if (pri_manager_ != nullptr) {
-          SPF_RETURN_IF_ERROR(pri_manager_->ApplyPriUpdateRecord(rec));
+          ApplyPageEvents();
+          pri_manager_->ApplyPriUpdate(rec.page_id, rec.lsn, body);
         }
-        auto body_or = DecodePriUpdate(rec.body);
-        if (body_or.ok()) {
-          certified = body_or->page_lsn;
-          data_page = body_or->data_page_id;
-        }
-        // Figure 12: the certified write cancels recovery requirements up
-        // to the certified PageLSN. Implemented as raising the recLSN past
-        // it (records after the write still replay).
-        if (data_page != kInvalidPageId) {
-          auto cur = dpt_.find(data_page);
-          if (cur != dpt_.end() && cur->second <= certified) {
-            cur->second = certified + 1;
-          }
-        }
+        Certify(body.data_page_id, body.page_lsn);
         break;
       }
       case LogRecordType::kPageWriteCompleted: {
@@ -228,56 +344,40 @@ Status RestartRecovery::Analysis(RedoPlan* plan, RestartStats* stats) {
         size_t off = 0;
         uint64_t certified;
         if (GetFixed64(rec.body, &off, &certified)) {
-          auto cur = dpt_.find(rec.page_id);
-          if (cur != dpt_.end() && cur->second <= certified) {
-            cur->second = certified + 1;
-          }
+          Certify(rec.page_id, certified);
         }
         break;
       }
       case LogRecordType::kPageFormat:
-        alloc_->MarkAllocated(rec.page_id);
-        if (dpt_.find(rec.page_id) == dpt_.end()) {
-          dpt_[rec.page_id] = rec.lsn;
-          if (redo_scan_floor_ == kInvalidLsn ||
-              rec.lsn < redo_scan_floor_) {
-            redo_scan_floor_ = rec.lsn;
-          }
-        }
-        // The formatting record is the page's first backup source
-        // (section 5.2.1); re-register it in the PRI.
-        if (pri_manager_ != nullptr) {
-          pri_manager_->pri()->RecordBackup(
-              rec.page_id, {BackupKind::kFormatRecord, rec.lsn});
-        }
+        if (!page_redo) break;
+        page_events_.push_back({rec.page_id, rec.lsn});
+        MarkDirty(rec.page_id, rec.lsn);
         break;
       case LogRecordType::kPageFree:
-        alloc_->MarkFree(rec.page_id);
-        dpt_.erase(rec.page_id);
+        SPF_RETURN_IF_ERROR(CheckPage(rec.page_id));
+        page_events_.push_back({rec.page_id, kInvalidLsn});
+        if (rec_lsn_[rec.page_id] != kInvalidLsn) {
+          rec_lsn_[rec.page_id] = kInvalidLsn;
+          dpt_size_--;
+        }
         break;
       case LogRecordType::kBadBlock:
         bbl_->Add(rec.page_id);
         break;
       default:
-        if (IsPageReplayRecord(rec.type) && rec.page_id != kInvalidPageId) {
-          if (dpt_.find(rec.page_id) == dpt_.end()) {
-            dpt_[rec.page_id] = rec.lsn;
-            if (redo_scan_floor_ == kInvalidLsn ||
-                rec.lsn < redo_scan_floor_) {
-              redo_scan_floor_ = rec.lsn;
-            }
-          }
-        }
+        if (page_redo) MarkDirty(rec.page_id, rec.lsn);
         break;
     }
   }
-  stats->dpt_entries_after_analysis = dpt_.size();
+  ApplyPageEvents();
+  txns_->SetNextTxnId(next_txn_id);
+  stats->dpt_entries_after_analysis = dpt_size_;
   stats->losers = losers_.size();
   return Status::OK();
 }
 
 Status RestartRecovery::BuildPlan(RedoPlan* plan, RestartStats* stats) {
-  if (dpt_.empty() || redo_scan_floor_ == kInvalidLsn ||
+  if (dpt_size_ == 0 || redo_scan_floor_ == kInvalidLsn ||
       redo_scan_floor_ >= log_->tail_lsn()) {
     kept_.clear();  // nothing is owed
     return Status::OK();
@@ -286,50 +386,70 @@ Status RestartRecovery::BuildPlan(RedoPlan* plan, RestartStats* stats) {
   // a DPT entry still demands. Raised (certified) recLSNs are mid-record
   // markers used only to cut the per-page lists below.
   const Lsn floor = std::max(redo_scan_floor_, log_->first_lsn());
+  const size_t analysis_kept = kept_.size();
   if (floor < stats->analysis_start) {
     // A checkpoint's DPT can reach below the checkpoint itself — a page
     // dirtied before the checkpoint and not flushed by it — even when no
     // page record follows the checkpoint: read the older records the
     // analysis scan started after.
+    const uint64_t span = stats->analysis_start - floor;
+    plan->arena_.reserve(plan->arena_.size() + span);
+    kept_.reserve(kept_.size() + span / kLogRecordHeaderSize);
     for (auto it = log_->Scan(floor, stats->analysis_start); it.Valid();
          it.Next()) {
       const LogRecord& rec = it.record();
       if (IsPageReplayRecord(rec.type) && rec.page_id != kInvalidPageId) {
+        SPF_RETURN_IF_ERROR(CheckPage(rec.page_id));
         Keep(rec, it.raw(), plan);
       }
     }
   }
-  // Each page's records, in LSN order.
-  std::sort(kept_.begin(), kept_.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first < b.first : a.second.lsn < b.second.lsn;
-  });
 
-  // Cut each page's list at its final recLSN — the write-certification
-  // optimization (Figure 4): records below it need no page read at all.
-  std::map<PageId, std::pair<size_t, size_t>> entries;
-  for (size_t i = 0; i < kept_.size();) {
-    const PageId page = kept_[i].first;
-    size_t end = i;
-    while (end < kept_.size() && kept_[end].first == page) end++;
-    while (i < end && kept_[i].second.lsn < floor) i++;
-    stats->redo_records_considered += end - i;
-    auto dpt_it = dpt_.find(page);
-    // A page still cached (a restart without a crash) is current.
-    if (dpt_it != dpt_.end() && !pool_->IsCached(page)) {
-      const size_t first = i;
-      while (i < end && kept_[i].second.lsn < dpt_it->second) i++;
-      stats->redo_skipped_by_dpt += i - first;
-      if (i < end) {
-        entries.emplace_hint(entries.end(), page,
-                             std::make_pair(plan->planned_.size(),
-                                            plan->planned_.size() + end - i));
-        for (; i < end; ++i) plan->planned_.push_back(kept_[i].second);
-      }
-    } else {
-      stats->redo_skipped_by_dpt += end - i;
+  // A stable counting sort by page id: the older records first, then the
+  // analysis scan's, so each page's list is in LSN order. A record is owed
+  // when its page is in the DPT and it lies at or above the page's final
+  // recLSN — the write-certification cut of Figure 4: records below it
+  // need no page read at all. The recLSN is never below the floor.
+  const auto older = kept_.begin() + analysis_kept;
+  std::vector<uint32_t> next(rec_lsn_.size(), 0);  // counts, then cursors
+  uint64_t owed = 0;
+  for (const Kept& k : kept_) {
+    if (k.planned.lsn < floor) continue;
+    stats->redo_records_considered++;
+    const Lsn rec_lsn = rec_lsn_[k.page];
+    if (rec_lsn != kInvalidLsn && k.planned.lsn >= rec_lsn) {
+      next[k.page]++;
+      owed++;
     }
-    i = end;
   }
+  std::map<PageId, std::pair<size_t, size_t>> entries;
+  size_t at = 0;
+  for (PageId page = 0; page < rec_lsn_.size(); ++page) {
+    const uint32_t count = next[page];
+    // A page still cached (a restart without a crash) is current.
+    if (count > 0 && pool_->IsCached(page)) {
+      rec_lsn_[page] = kInvalidLsn;
+      owed -= count;
+    } else if (count > 0) {
+      entries.emplace_hint(entries.end(), page,
+                           std::make_pair(at, at + count));
+    }
+    next[page] = static_cast<uint32_t>(at);
+    if (rec_lsn_[page] != kInvalidLsn) at += count;
+  }
+  stats->redo_skipped_by_dpt = stats->redo_records_considered - owed;
+  plan->planned_.resize(owed);
+  auto place = [&](std::vector<Kept>::const_iterator from,
+                   std::vector<Kept>::const_iterator to) {
+    for (; from != to; ++from) {
+      const Lsn rec_lsn = rec_lsn_[from->page];
+      if (rec_lsn != kInvalidLsn && from->planned.lsn >= rec_lsn) {
+        plan->planned_[next[from->page]++] = from->planned;
+      }
+    }
+  };
+  place(older, kept_.end());
+  place(kept_.begin(), older);
   kept_.clear();
   stats->redo_plan_pages = entries.size();
   MutexLock g(plan->mu_);
@@ -340,8 +460,9 @@ Status RestartRecovery::BuildPlan(RedoPlan* plan, RestartStats* stats) {
 
 Status RestartRecovery::Undo(RestartStats* stats) {
   RollbackExecutor rollback(log_, tree_, txns_);
-  for (const auto& [txn_id, info] : losers_) {
-    Transaction* txn = txns_->AdoptLoser(txn_id, info.last_lsn, info.undo_next);
+  for (const LoserInfo& loser : losers_.Sorted()) {
+    Transaction* txn =
+        txns_->AdoptLoser(loser.txn_id, loser.last_lsn, loser.undo_next);
     SPF_ASSIGN_OR_RETURN(RollbackStats rb, rollback.Rollback(txn));
     stats->undo_records += rb.records_undone;
   }

@@ -73,6 +73,10 @@ struct RestartStats {
   double analysis_sim_seconds = 0;
   double redo_sim_seconds = 0;  ///< the background sweep, first page to last
   double undo_sim_seconds = 0;
+
+  // Host time, for the per-record cost of the scan itself.
+  double analysis_wall_seconds = 0;  ///< the analysis scan
+  double plan_wall_seconds = 0;      ///< older records + the plan's sort
 };
 
 /// The redo every page still owes after analysis: per page, the
@@ -167,8 +171,44 @@ class RestartRecovery {
 
  private:
   struct LoserInfo {
+    TxnId txn_id = kInvalidTxnId;  ///< kInvalidTxnId marks a free slot
     Lsn last_lsn = kInvalidLsn;
     Lsn undo_next = kInvalidLsn;
+  };
+
+  /// The user transactions the scan has seen log but not finish: an
+  /// open-addressing hash table (linear probing, backward-shift erase),
+  /// so tracking a transaction allocates nothing. Few are live at once.
+  class LoserTable {
+   public:
+    LoserTable() : slots_(size_t{1} << kMinSlotBits) {}
+    /// The entry of `id`, inserted empty if absent.
+    LoserInfo& FindOrInsert(TxnId id);
+    void Erase(TxnId id);
+    size_t size() const { return size_; }
+    /// The entries in ascending txn-id order, undo's order.
+    std::vector<LoserInfo> Sorted() const;
+
+   private:
+    static constexpr int kMinSlotBits = 6;
+    /// Fibonacci hashing: the top bits of the product.
+    size_t Home(TxnId id) const {
+      return static_cast<size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+    /// The slot holding `id`, or the free slot ending its probe run.
+    size_t Probe(TxnId id) const;
+
+    std::vector<LoserInfo> slots_;  ///< a power of two, at most half full
+    int shift_ = 64 - kMinSlotBits;  ///< 64 - log2(slots_.size())
+    size_t size_ = 0;
+  };
+
+  /// A page format or free, deferred: the allocator and the PRI take
+  /// locks, so the scan applies these in log order in one batch before
+  /// the next record that reads or replaces the same state.
+  struct PageEvent {
+    PageId page;
+    Lsn format_lsn;  ///< kInvalidLsn for a free
   };
 
   Status Analysis(RedoPlan* plan, RestartStats* stats);
@@ -176,6 +216,16 @@ class RestartRecovery {
   /// scanning [redo floor, analysis start) when the floor lies lower.
   Status BuildPlan(RedoPlan* plan, RestartStats* stats);
   Status Undo(RestartStats* stats);
+
+  /// Corruption unless `id` names a page of the data device.
+  Status CheckPage(PageId id) const;
+  /// Copies a page-redo record's log bytes into the plan's arena.
+  void Keep(const LogRecord& rec, std::string_view raw, RedoPlan* plan);
+  /// Enters `id` in the DPT with recLSN `lsn` unless it is there.
+  void MarkDirty(PageId id, Lsn lsn);
+  /// A completed write of `id` at PageLSN `certified` (Figure 4).
+  void Certify(PageId id, Lsn certified);
+  void ApplyPageEvents();
 
   LogManager* const log_;
   BufferPool* const pool_;
@@ -186,14 +236,21 @@ class RestartRecovery {
   PriManager* const pri_manager_;
   SimClock* const clock_;
 
-  /// Copies a page-redo record's log bytes into the plan's arena.
-  void Keep(const LogRecord& rec, std::string_view raw, RedoPlan* plan);
-
-  std::map<PageId, Lsn> dpt_;  // page -> recLSN
-  std::map<TxnId, LoserInfo> losers_;
-  /// Every page-redo record the scans read, in scan order; its bytes are
-  /// in the plan's arena.
-  std::vector<std::pair<PageId, RedoPlan::Planned>> kept_;
+  /// The dirty page table, indexed by page id: each dirty page's recLSN,
+  /// kInvalidLsn for a clean page. Sized once to the device.
+  std::vector<Lsn> rec_lsn_;
+  size_t dpt_size_ = 0;
+  LoserTable losers_;
+  std::vector<PageEvent> page_events_;
+  /// One page-redo record the scans read: its page, and its LSN and bytes
+  /// (in the plan's arena).
+  struct Kept {
+    PageId page;
+    RedoPlan::Planned planned;
+  };
+  /// Every page-redo record the scans read, in scan order: the analysis
+  /// scan's, then the older records BuildPlan reads.
+  std::vector<Kept> kept_;
   /// Lowest RECORD-BOUNDARY LSN ever inserted into the DPT. Write
   /// certifications raise individual recLSNs to certified+1, which is not
   /// a record boundary and therefore must never be used as a scan start;

@@ -177,6 +177,69 @@ TEST(InstantRestartTest, LostPriUpdateRegeneratedOnLoad) {
   ASSERT_TRUE(db->CheckOffline(nullptr).ok());
 }
 
+TEST(InstantRestartTest, NewerImageThanPriCertifiesIsAcceptedOnLoad) {
+  // Figure 12, third row, when the PRI certifies an older PageLSN: the
+  // checkpoint's write of the leaf is certified, the leaf's next write
+  // completes but its PriUpdate is lost with the log tail. Without
+  // per-page copies the PRI keeps the older PageLSN, and the newer device
+  // image must load as is — not be repaired from backup plus chain.
+  auto db = MakeDb();  // updates_threshold = 0
+  Put(db.get(), 0, 100, "v");
+  ASSERT_TRUE(db->Checkpoint().ok());
+  Put(db.get(), 50, 51, "post-ckpt");
+  auto leaf = db->LeafPageOf(Key(50));
+  ASSERT_TRUE(leaf.ok());
+  ASSERT_TRUE(db->pool()->FlushPage(*leaf).ok());
+  db->SimulateCrash();
+
+  db->restart_sweep()->Pause();
+  ASSERT_TRUE(db->Restart().ok());
+  auto entry = db->pri_manager()->pri()->Lookup(*leaf);
+  ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+  ASSERT_NE(entry->last_lsn, kInvalidLsn);  // the older write is certified
+  EXPECT_EQ(*db->Get(Key(50)), "post-ckpt-50");  // loads the leaf
+  db->restart_sweep()->Resume();
+  auto redo = db->AwaitRestartRedo();
+  ASSERT_TRUE(redo.ok()) << redo.status().ToString();
+  EXPECT_GE(redo->lost_pri_updates_regenerated, 1u);
+  EXPECT_EQ(db->Stats().pool.repairs_attempted, 0u);
+  EXPECT_EQ(db->cross_check()->mismatches(), 0u);
+  auto certified = db->pri_manager()->pri()->Lookup(*leaf);
+  ASSERT_TRUE(certified.ok());
+  EXPECT_GT(certified->last_lsn, entry->last_lsn);
+  ASSERT_TRUE(db->CheckOffline(nullptr).ok());
+}
+
+TEST(InstantRestartTest, InterleavedLosersOnSharedPagesAreAllUndone) {
+  // Three losers and a stream of winners update neighbouring keys, so
+  // every leaf carries records of several losers between committed ones.
+  auto db = MakeDb();
+  Put(db.get(), 0, 600, "v");
+  ASSERT_TRUE(db->Checkpoint().ok());
+  std::vector<Txn> losers;
+  for (int l = 0; l < 3; ++l) losers.push_back(db->BeginTxn());
+  for (int base = 0; base < 600; base += 6) {
+    for (int l = 0; l < 3; ++l) {
+      ASSERT_TRUE(losers[l].Put(Key(base + l), "loser").ok());
+      Put(db.get(), base + 3 + l, base + 4 + l, "w");
+    }
+  }
+  db->log()->ForceAll();
+  db->SimulateCrash();
+
+  db->restart_sweep()->Pause();
+  auto stats = db->Restart();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->losers, 3u);
+  for (int base = 0; base < 600; base += 6) {
+    ExpectCommitted(db.get(), base, base + 3, "v");
+    ExpectCommitted(db.get(), base + 3, base + 6, "w");
+  }
+  db->restart_sweep()->Resume();
+  ASSERT_TRUE(db->AwaitRestartRedo().ok());
+  ASSERT_TRUE(db->CheckOffline(nullptr).ok());
+}
+
 TEST(InstantRestartTest, CrashWhileRedoHalfDone) {
   auto db = CrashedDb(nullptr);
   db->restart_sweep()->Pause();
@@ -341,6 +404,76 @@ TEST(RestartPlanTest, ReadsRecordsBelowACheckpointNoPageRecordFollows) {
   auto got = env.tree->Get(nullptr, "k");
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(*got, "v2");
+  env.pool->SetPendingRedo(nullptr);
+}
+
+TEST(RestartPlanTest, PageWithRecordsOnBothSidesOfTheMasterRedoesToItsImage) {
+  // A page dirtied before a checkpoint that did not flush it and updated
+  // again after: its plan joins the older records the plan build reads
+  // with the analysis scan's. Out of LSN order, the first record applied
+  // would fail the per-page chain check (section 5.1.4).
+  testenv::TestEnv env;
+  ASSERT_TRUE(env.WithTxn([&](Transaction* t) {
+                   return env.tree->Insert(t, "k", "v0");
+                 }).ok());
+  ASSERT_TRUE(env.pool->FlushAll().ok());
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(env.WithTxn([&](Transaction* t) {
+                     return env.tree->Update(t, "k", "v" + std::to_string(i));
+                   }).ok());
+  }
+
+  BadBlockList bbl;
+  CheckpointEndBody body;
+  body.dpt = env.pool->DirtyPages();
+  ASSERT_EQ(body.dpt.size(), 1u);
+  const PageId leaf = body.dpt[0].page_id;
+  body.allocator_image = env.alloc->Serialize();
+  body.bad_blocks_image = bbl.Serialize();
+  body.next_txn_id = env.txns->next_txn_id();
+  LogRecord begin;
+  begin.type = LogRecordType::kCheckpointBegin;
+  const Lsn begin_lsn = env.log->Append(&begin);
+  LogRecord end;
+  end.type = LogRecordType::kCheckpointEnd;
+  end.body = body.Encode();
+  env.log->Append(&end);
+  for (int i = 4; i <= 6; ++i) {
+    ASSERT_TRUE(env.WithTxn([&](Transaction* t) {
+                     return env.tree->Update(t, "k", "v" + std::to_string(i));
+                   }).ok());
+  }
+  env.log->ForceAll();
+  env.log->SetMasterRecord(begin_lsn);
+  std::vector<char> before;
+  {
+    auto guard = env.pool->FixPage(leaf, LatchMode::kShared);
+    ASSERT_TRUE(guard.ok());
+    before.assign(guard->view().data(),
+                  guard->view().data() + guard->view().size());
+    PageView(before.data(), before.size()).UpdateChecksum();
+  }
+  env.pool->DiscardAll();  // the crash: v1..v6 never reached the device
+
+  RedoPlan plan(/*pri_manager=*/nullptr);
+  RestartRecovery restart(env.log.get(), env.pool.get(), env.txns.get(),
+                          env.tree.get(), env.alloc.get(), &bbl,
+                          /*pri_manager=*/nullptr, &env.clock);
+  auto stats = restart.Run(&plan);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->redo_plan_pages, 1u);
+  {
+    auto guard = env.pool->FixPage(leaf, LatchMode::kShared);
+    ASSERT_TRUE(guard.ok()) << guard.status().ToString();
+    std::vector<char> after(guard->view().data(),
+                            guard->view().data() + guard->view().size());
+    PageView(after.data(), after.size()).UpdateChecksum();
+    EXPECT_EQ(after, before);
+  }
+  RestartStats redo;
+  plan.CopyRedoCounts(&redo);
+  EXPECT_EQ(redo.redo_applied, 6u);  // three older records, three newer
+  EXPECT_EQ(*env.tree->Get(nullptr, "k"), "v6");
   env.pool->SetPendingRedo(nullptr);
 }
 

@@ -235,6 +235,34 @@ TEST_F(LogTest, ScanReadsWindowsNotRecords) {
   EXPECT_LE(device_.stats().page_reads - reads_before, windows);
 }
 
+TEST_F(LogTest, RecordsReadEqualsRecordsScansReturned) {
+  for (int i = 0; i < 50; ++i) {
+    LogRecord rec = MakeRecord(LogRecordType::kBTreeInsert, 1, "x");
+    log_.Append(&rec);
+  }
+  log_.ForceAll();
+  const uint64_t before = log_.stats().records_read;
+  uint64_t returned = 0;
+  {
+    // A scan read to its end publishes its count when it ends...
+    auto it = log_.Scan(log_.first_lsn());
+    for (; it.Valid(); it.Next()) returned++;
+    EXPECT_EQ(log_.stats().records_read - before, returned);
+  }
+  {
+    // ...and one abandoned part-way when the iterator goes.
+    auto it = log_.Scan(log_.first_lsn());
+    returned++;
+    for (int i = 1; i < 20; ++i) {
+      it.Next();
+      ASSERT_TRUE(it.Valid());
+      returned++;
+    }
+  }
+  EXPECT_EQ(returned, 70u);
+  EXPECT_EQ(log_.stats().records_read - before, returned);
+}
+
 TEST_F(LogTest, ScanWithEndLeavesStagedRecordsUnpublished) {
   LogRecord a = MakeRecord(LogRecordType::kBeginTxn, 1, "");
   log_.Append(&a);

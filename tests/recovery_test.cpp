@@ -146,6 +146,44 @@ TEST(CheckpointTest, RestartDoesNotResurrectCommittedTxnFromCheckpointTable) {
   EXPECT_EQ(*got, "v2");  // the committed write survived restart undo
 }
 
+TEST(CheckpointTest, RestartResumesTxnIdsAboveEveryLoggedId) {
+  // Splits run as system transactions begun inside a user transaction, so
+  // the log's highest id can belong to a system transaction that follows
+  // the last user record and the checkpoint. The next transaction after
+  // restart must still get an id no logged record carries.
+  auto db = std::move(Database::Create(FastOptions())).value();
+  {
+    Txn seed = db->BeginTxn();
+    SPF_CHECK_OK(seed.Insert(Key(0), "v"));
+    SPF_CHECK_OK(seed.Commit());
+  }
+  ASSERT_TRUE(db->Checkpoint().ok());
+  {
+    Txn grow = db->BeginTxn();
+    for (int i = 1; i < 2000; ++i) SPF_CHECK_OK(grow.Insert(Key(i), "v"));
+    SPF_CHECK_OK(grow.Commit());
+  }
+  db->SimulateCrash();
+
+  TxnId max_logged = kInvalidTxnId;
+  bool system_last = false;
+  for (auto it = db->log()->Scan(db->log()->first_lsn()); it.Valid();
+       it.Next()) {
+    if (it.record().txn_id > max_logged) {
+      max_logged = it.record().txn_id;
+      system_last = it.record().is_system_txn();
+    }
+  }
+  ASSERT_TRUE(system_last);  // the case the id sequence must cover
+  db->restart_sweep()->Pause();
+  ASSERT_TRUE(db->Restart().ok());
+  Txn next = db->BeginTxn();
+  EXPECT_GT(next.id(), max_logged);
+  ASSERT_TRUE(next.Commit().ok());
+  db->restart_sweep()->Resume();
+  ASSERT_TRUE(db->AwaitRestartRedo().ok());
+}
+
 TEST(CheckpointTest, PriTailDoesNotCascadeWithinOneCheckpoint) {
   // Section 5.2.6: writing PRI pages dirties OTHER PRI windows; those are
   // deliberately left for the next checkpoint rather than chased.

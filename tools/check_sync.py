@@ -23,6 +23,12 @@ Tests, benches, and examples may use std::mutex for their OWN harness
 bookkeeping (merge maps, ack logs) — they are clients, not the engine —
 so only src/ is scanned.
 
+It also keeps the deleted v1 client facade deleted: in src/db, a public
+raw-pointer entry point on the Database facade (a `Transaction* Begin`
+declaration, or a facade verb taking `Transaction*` first) fails the
+check. The private *Op internals the Txn handle drives (CommitTxn,
+InsertOp, ...) do not match.
+
 Exits non-zero listing every violation. Run from the repo root:
 
     python3 tools/check_sync.py
@@ -49,8 +55,25 @@ RAW_INCLUDES = re.compile(r'#\s*include\s*<(mutex|shared_mutex|'
 NAKED_VERBS = re.compile(
     r'(?:\.|->)\s*(?:try_)?(?:lock|unlock)(?:_shared)?\s*\(')
 
+SYNC_RULES = [
+    (RAW_PRIMITIVES, 'raw synchronization primitive'),
+    (RAW_INCLUDES, 'raw synchronization header'),
+    (NAKED_VERBS, 'naked lowercase lock verb'),
+]
 
-def scan(path: Path, root: Path) -> list:
+# src/db only: declarations that would resurrect the v1 facade surface.
+FACADE_RULES = [
+    # Transaction* Begin(  — the raw-handle factory.
+    (re.compile(r'\bTransaction\s*\*\s*(?:Database\s*::\s*)?Begin\s*\('),
+     'v1 facade entry point'),
+    # Status Commit(Transaction* ...), Get(Transaction* ...), etc.
+    (re.compile(r'\b(?:Commit|Abort|Insert|Update|Put|Delete|Get)\s*'
+                r'\(\s*Transaction\s*\*'),
+     'v1 facade entry point'),
+]
+
+
+def scan(path: Path, root: Path, rules: list) -> list:
     violations = []
     in_block_comment = False
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
@@ -68,10 +91,10 @@ def scan(path: Path, root: Path) -> list:
             code = code[:start]
             in_block_comment = True
         code = code.split('//')[0]
-        for pattern in (RAW_PRIMITIVES, RAW_INCLUDES, NAKED_VERBS):
+        for pattern, what in rules:
             if pattern.search(code):
                 violations.append(
-                    (path.relative_to(root), lineno, line.strip()))
+                    (path.relative_to(root), lineno, what, line.strip()))
                 break
     return violations
 
@@ -86,13 +109,17 @@ def main() -> int:
         if path == exempt:
             continue
         count += 1
-        violations.extend(scan(path, root))
+        rules = SYNC_RULES
+        if path.is_relative_to(src / 'db'):
+            rules = SYNC_RULES + FACADE_RULES
+        violations.extend(scan(path, root, rules))
     if violations:
-        print('raw synchronization primitives found outside '
-              'src/common/sync.h (use OrderedMutex/OrderedSharedMutex, '
-              'the guard types, and the capitalized lock verbs):')
-        for rel, lineno, line in violations:
-            print(f'  {rel}:{lineno}: {line}')
+        print('src/ firewall violations (locks: use OrderedMutex/'
+              'OrderedSharedMutex, the guard types, and the capitalized lock '
+              'verbs outside src/common/sync.h; the client API is Txn/'
+              'WriteBatch, see db/session.h):')
+        for rel, lineno, what, line in violations:
+            print(f'  {rel}:{lineno}: {what}: {line}')
         return 1
     print(f'sync-discipline firewall: clean ({count} files)')
     return 0
